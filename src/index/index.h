@@ -251,6 +251,24 @@ class VectorIndex {
   /// links, code widths) is validated against `data` before use, so a
   /// corrupt file can never cause an out-of-bounds access later.
   virtual Status RestoreState(ByteReader* reader, const FloatMatrix& data) = 0;
+
+  /// A copy of this built index restricted to the rows `old_to_new` keeps,
+  /// attached to `data` (the kept rows, which must outlive the copy). The
+  /// map has one entry per indexed row: its row in `data`, or -1 when the
+  /// row is dropped; kept rows are numbered 0, 1, ... in their old order.
+  /// Null means "this index cannot filter, rebuild over `data`" (the
+  /// default). The k-means family (IVF_FLAT, IVF_SQ8, IVF_PQ, SCANN)
+  /// filters: its centroids, SQ8 ranges and PQ codebooks are copied and
+  /// every kept row keeps its cell, its codes and its slot order, so the
+  /// copy answers every query with the same neighbors (after renumbering)
+  /// and WorkCounters as this index searched with the dropped rows filtered
+  /// out.
+  virtual std::unique_ptr<VectorIndex> FilteredCopy(
+      const std::vector<int64_t>& old_to_new, const FloatMatrix& data) const {
+    (void)old_to_new;
+    (void)data;
+    return nullptr;
+  }
 };
 
 /// The engine behind every SearchBatch implementation: runs

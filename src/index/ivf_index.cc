@@ -131,6 +131,17 @@ std::vector<Neighbor> IvfFlatIndex::SearchFiltered(
   return topk.Take();
 }
 
+// The k-means-family compaction contract (VectorIndex::FilteredCopy): copy
+// the trained structures, then drop the dead members from every posting list
+// (and their codes, slot for slot) and renumber the survivors.
+std::unique_ptr<VectorIndex> IvfFlatIndex::FilteredCopy(
+    const std::vector<int64_t>& old_to_new, const FloatMatrix& data) const {
+  auto copy = std::make_unique<IvfFlatIndex>(*this);
+  copy->data_ = &data;
+  FilterPostingLists<uint8_t>(old_to_new, 0, &copy->list_ids_, nullptr);
+  return copy;
+}
+
 size_t IvfFlatIndex::MemoryBytes() const {
   size_t bytes = centroids_.MemoryBytes();
   for (const auto& list : list_ids_) bytes += list.size() * sizeof(int64_t);
@@ -205,6 +216,15 @@ std::vector<Neighbor> IvfSq8Index::SearchFiltered(
   }
   if (counters != nullptr) counters->code_distance_evals += scanned;
   return topk.Take();
+}
+
+std::unique_ptr<VectorIndex> IvfSq8Index::FilteredCopy(
+    const std::vector<int64_t>& old_to_new, const FloatMatrix& data) const {
+  auto copy = std::make_unique<IvfSq8Index>(*this);
+  copy->data_ = &data;
+  FilterPostingLists(old_to_new, data.dim(), &copy->list_ids_,
+                     &copy->list_codes_);
+  return copy;
 }
 
 size_t IvfSq8Index::MemoryBytes() const {
@@ -410,6 +430,15 @@ std::vector<Neighbor> IvfPqIndex::SearchFiltered(
   }
   if (counters != nullptr) counters->pq_lookup_ops += scanned * m;
   return topk.Take();
+}
+
+std::unique_ptr<VectorIndex> IvfPqIndex::FilteredCopy(
+    const std::vector<int64_t>& old_to_new, const FloatMatrix& data) const {
+  auto copy = std::make_unique<IvfPqIndex>(*this);
+  copy->data_ = &data;
+  FilterPostingLists(old_to_new, static_cast<size_t>(params_.m),
+                     &copy->list_ids_, &copy->list_codes_);
+  return copy;
 }
 
 size_t IvfPqIndex::MemoryBytes() const {

@@ -83,6 +83,9 @@ class IvfFlatIndex : public IvfBaseIndex {
                                        const IndexParams* knobs) const override;
   size_t MemoryBytes() const override;
   IndexType type() const override { return IndexType::kIvfFlat; }
+  std::unique_ptr<VectorIndex> FilteredCopy(
+      const std::vector<int64_t>& old_to_new,
+      const FloatMatrix& data) const override;
 
  protected:
   Status EncodeLists(const FloatMatrix&, ParallelExecutor*) override {
@@ -102,6 +105,9 @@ class IvfSq8Index : public IvfBaseIndex {
                                        const IndexParams* knobs) const override;
   size_t MemoryBytes() const override;
   IndexType type() const override { return IndexType::kIvfSq8; }
+  std::unique_ptr<VectorIndex> FilteredCopy(
+      const std::vector<int64_t>& old_to_new,
+      const FloatMatrix& data) const override;
 
  protected:
   Status EncodeLists(const FloatMatrix& data,
@@ -128,6 +134,9 @@ class IvfPqIndex : public IvfBaseIndex {
                                        const IndexParams* knobs) const override;
   size_t MemoryBytes() const override;
   IndexType type() const override { return IndexType::kIvfPq; }
+  std::unique_ptr<VectorIndex> FilteredCopy(
+      const std::vector<int64_t>& old_to_new,
+      const FloatMatrix& data) const override;
 
  protected:
   Status EncodeLists(const FloatMatrix& data,

@@ -5,6 +5,7 @@
 #ifndef VDTUNER_INDEX_KMEANS_H_
 #define VDTUNER_INDEX_KMEANS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -49,6 +50,35 @@ int32_t NearestCentroid(const FloatMatrix& centroids, const float* x);
 std::vector<std::vector<int64_t>> BucketByAssignment(
     const std::vector<int32_t>& assignments, size_t k,
     ParallelExecutor* executor);
+
+/// Restricts posting lists in place to the rows `old_to_new` keeps (see
+/// VectorIndex::FilteredCopy): member i becomes old_to_new[i], members
+/// mapped to -1 are dropped, and survivors keep their list and slot order.
+/// `codes` (may be null) holds `width` codes per member, slot for slot with
+/// `lists`, and is filtered in the same order. Shared by every k-means-family
+/// index, so they all compact alike.
+template <typename Code>
+void FilterPostingLists(const std::vector<int64_t>& old_to_new, size_t width,
+                        std::vector<std::vector<int64_t>>* lists,
+                        std::vector<std::vector<Code>>* codes) {
+  for (size_t l = 0; l < lists->size(); ++l) {
+    std::vector<int64_t>& ids = (*lists)[l];
+    Code* slots = codes != nullptr ? (*codes)[l].data() : nullptr;
+    size_t kept = 0;
+    for (size_t j = 0; j < ids.size(); ++j) {
+      const int64_t to = old_to_new[static_cast<size_t>(ids[j])];
+      if (to < 0) continue;
+      // Survivors only move down (kept <= j); skipping kept == j keeps the
+      // destination out of the source range, as std::copy_n requires.
+      if (slots != nullptr && kept != j) {
+        std::copy_n(slots + j * width, width, slots + kept * width);
+      }
+      ids[kept++] = to;
+    }
+    ids.resize(kept);
+    if (codes != nullptr) (*codes)[l].resize(kept * width);
+  }
+}
 
 }  // namespace vdt
 

@@ -170,6 +170,15 @@ Status ScannIndex::RestoreState(ByteReader* reader, const FloatMatrix& data) {
   return Status::OK();
 }
 
+std::unique_ptr<VectorIndex> ScannIndex::FilteredCopy(
+    const std::vector<int64_t>& old_to_new, const FloatMatrix& data) const {
+  auto copy = std::make_unique<ScannIndex>(*this);
+  copy->data_ = &data;
+  FilterPostingLists(old_to_new, data.dim(), &copy->list_ids_,
+                     &copy->list_codes_);
+  return copy;
+}
+
 size_t ScannIndex::MemoryBytes() const {
   size_t bytes = centroids_.MemoryBytes();
   bytes += (vmin_.size() + vscale_.size()) * sizeof(float);

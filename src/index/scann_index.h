@@ -5,6 +5,7 @@
 #define VDTUNER_INDEX_SCANN_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "index/index.h"
@@ -34,6 +35,9 @@ class ScannIndex : public VectorIndex {
 
   Status SerializeState(ByteWriter* writer) const override;
   Status RestoreState(ByteReader* reader, const FloatMatrix& data) override;
+  std::unique_ptr<VectorIndex> FilteredCopy(
+      const std::vector<int64_t>& old_to_new,
+      const FloatMatrix& data) const override;
 
  private:
   Metric metric_;

@@ -372,20 +372,24 @@ Status Collection::CompactLocked(size_t* compacted) {
         shard.sealed.erase(shard.sealed.begin() + static_cast<ptrdiff_t>(i));
         continue;
       }
-      // Rewrite from live rows under an explicit id map, then reseal
-      // through the normal build path (deterministic: the seed depends only
-      // on the mutation history, never on thread count). The fresh segment
-      // is invisible until Publish, so it can be built in place.
+      // Rewrite from live rows under an explicit id map, then reseal. A
+      // k-means-family index is filtered to the live rows, which leaves
+      // every search answer unchanged; other types rebuild (deterministic:
+      // the seed depends only on the mutation history, never on thread
+      // count). The fresh segment is invisible until Publish, so it can be
+      // sealed in place.
       const Segment& seg = *view.segment;
       auto fresh = std::make_shared<Segment>(seg.base_id(), dim_);
+      std::vector<int64_t> old_to_new(seg.rows(), -1);
       for (size_t r = 0; r < seg.rows(); ++r) {
         if (view.IsDeleted(r)) continue;
+        old_to_new[r] = static_cast<int64_t>(fresh->rows());
         fresh->AppendWithId(seg.data().Row(r), dim_, seg.IdAt(r));
       }
-      Status st = fresh->Seal(options_.index.type, options_.metric,
-                              options_.index.params,
-                              options_.system.build_index_threshold,
-                              options_.seed + 7919 * compactions_ + 13);
+      Status st = fresh->SealCompacted(
+          seg, old_to_new, options_.index.type, options_.metric,
+          options_.index.params, options_.system.build_index_threshold,
+          options_.seed + 7919 * compactions_ + 13);
       if (!st.ok()) return st;
       if (store_ != nullptr) {
         // A rewritten segment starts tombstone-free; the replaced file is

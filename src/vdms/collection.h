@@ -56,8 +56,9 @@ struct IndexSpec {
   IndexParams params;
 };
 
-/// Dataset-scale context that converts the synthetic stand-in dataset to the
-/// paper-scale deployment it represents (see DESIGN.md "Substitutions").
+/// Dataset-scale context that converts the synthetic stand-in dataset (a
+/// smaller matrix standing in for the paper's dataset) to the paper-scale
+/// deployment it represents.
 ///
 /// Two scales are deliberately separate:
 ///  - `dataset_mb` drives the *segment layout*: how many actual rows an MB
@@ -127,20 +128,29 @@ class Collection {
   /// insert buffer, growing chunks, sealed segments). Unknown and
   /// already-deleted ids are ignored; `deleted` (may be null) receives the
   /// number of rows newly tombstoned. Ends with a Compact() pass, so a
-  /// delete can trigger segment rewrites (and their index rebuilds) inline,
-  /// mirroring Milvus' single-segment compaction trigger. Tombstone bitmaps
-  /// are copy-on-write: searches already in flight keep the pre-delete view.
+  /// delete can trigger segment rewrites inline, mirroring Milvus'
+  /// single-segment compaction trigger. Tombstone bitmaps are
+  /// copy-on-write: searches already in flight keep the pre-delete view.
   Status Delete(const std::vector<int64_t>& ids, size_t* deleted = nullptr);
 
   /// Rewrites every sealed segment (shard by shard, in shard order) whose
   /// tombstoned fraction exceeds system.compaction_deleted_ratio from its
-  /// live rows, rebuilding the index through the normal seal path (parallel
-  /// build included). Segments left with zero live rows are dropped
-  /// outright. Idempotent: a rewritten segment has no tombstones, so a
-  /// second pass is a no-op. `compacted` (may be null) receives the number
-  /// of segments rewritten or dropped across all shards. Concurrent
-  /// searches keep reading the pre-compaction segments, which are freed
-  /// when the last reader drops its snapshot.
+  /// live rows. The index type decides how the rewrite gets its index:
+  ///  - IVF_FLAT, IVF_SQ8, IVF_PQ, SCANN: the segment's trained index is
+  ///    filtered to the live rows (VectorIndex::FilteredCopy), so every
+  ///    search returns the same neighbors with the same work as before the
+  ///    compaction — pure space reclamation, no k-means run.
+  ///  - HNSW, AUTOINDEX, FLAT: the index is rebuilt through the normal seal
+  ///    path (parallel build included), seeded from the compaction count
+  ///    (seed + 7919 * compactions + 13); only rebuilds read that seed.
+  ///  - Live rows below build_index_threshold (or a source without an
+  ///    index) leave a brute-force segment, as a fresh seal would.
+  /// Segments left with zero live rows are dropped outright. Idempotent: a
+  /// rewritten segment has no tombstones, so a second pass is a no-op.
+  /// `compacted` (may be null) receives the number of segments rewritten or
+  /// dropped across all shards. Concurrent searches keep reading the
+  /// pre-compaction segments, which are freed when the last reader drops
+  /// its snapshot.
   Status Compact(size_t* compacted = nullptr);
 
   /// Flushes every shard's insert buffer into its growing tier and seals
@@ -278,9 +288,10 @@ class Collection {
   CollectionOptions options_;
   size_t dim_ = 0;
   int64_t next_id_ = 0;
-  /// Segment rewrites so far, across all shards (seeds the rebuilds; kept
-  /// global so the rebuild-seed sequence matches the mutation history
-  /// regardless of which shard compacts).
+  /// Segment rewrites so far, across all shards (seeds the rebuilds of the
+  /// index types that cannot filter; kept global so the rebuild-seed
+  /// sequence matches the mutation history regardless of which shard
+  /// compacts).
   size_t compactions_ = 0;
   std::vector<ShardState> shards_;
   /// Durability sink (null = in-memory collection). Mutation wrappers log

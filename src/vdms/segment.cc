@@ -22,6 +22,22 @@ Status Segment::Seal(IndexType type, Metric metric, const IndexParams& params,
   return st;
 }
 
+Status Segment::SealCompacted(const Segment& source,
+                              const std::vector<int64_t>& old_to_new,
+                              IndexType type, Metric metric,
+                              const IndexParams& params, int build_threshold,
+                              uint64_t seed) {
+  if (!sealed_ && source.index_ != nullptr &&
+      data_.rows() >= static_cast<size_t>(std::max(1, build_threshold))) {
+    index_ = source.index_->FilteredCopy(old_to_new, data_);
+    if (index_ != nullptr) {
+      sealed_ = true;
+      return Status::OK();
+    }
+  }
+  return Seal(type, metric, params, build_threshold, seed);
+}
+
 std::shared_ptr<Segment> Segment::Restore(int64_t base_id, FloatMatrix data,
                                           std::vector<int64_t> ids) {
   auto segment = std::make_shared<Segment>(base_id, data.dim());

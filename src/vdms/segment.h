@@ -10,7 +10,12 @@
 // Compaction rewrites a segment from its live rows into a *new* Segment,
 // which is when a segment acquires an explicit id map (live collection ids
 // are no longer contiguous); the old segment is freed when the last
-// in-flight snapshot referencing it is dropped.
+// in-flight snapshot referencing it is dropped. The rewrite seals through
+// SealCompacted: a k-means-family index (IVF_FLAT, IVF_SQ8, IVF_PQ, SCANN)
+// is filtered to the live rows, so the new segment answers every query with
+// the same neighbors and work as the old one read through its tombstones;
+// HNSW, AUTOINDEX and FLAT rebuild, and only those rebuilds read the
+// compaction-count seed the collection passes in.
 #ifndef VDTUNER_VDMS_SEGMENT_H_
 #define VDTUNER_VDMS_SEGMENT_H_
 
@@ -50,6 +55,18 @@ class Segment {
   /// included in the build and filtered at search time.
   Status Seal(IndexType type, Metric metric, const IndexParams& params,
               int build_threshold, uint64_t seed);
+
+  /// Compaction's seal. This segment holds the rows of `source` that
+  /// `old_to_new` keeps (source row r is row old_to_new[r] here, -1 =
+  /// dropped), appended in order. When `source` is indexed and the kept rows
+  /// reach `build_threshold`, the segment takes the source index filtered to
+  /// those rows (VectorIndex::FilteredCopy), attached to its own data();
+  /// otherwise, or when the index type cannot filter, it seals exactly like
+  /// Seal(type, metric, params, build_threshold, seed).
+  Status SealCompacted(const Segment& source,
+                       const std::vector<int64_t>& old_to_new, IndexType type,
+                       Metric metric, const IndexParams& params,
+                       int build_threshold, uint64_t seed);
 
   /// Reassembles a sealed segment from persisted parts (the storage loader's
   /// entry point): `data` may borrow an mmap'd vector section (the segment

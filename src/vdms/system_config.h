@@ -31,7 +31,8 @@ namespace vdt {
 ///  - compaction_deleted_ratio  dataCoord.compaction singleCompaction
 ///                            deleted-rows proportion: a sealed segment
 ///                            whose tombstoned fraction *exceeds* this is
-///                            rewritten from its live rows (index rebuilt).
+///                            rewritten from its live rows (k-means-family
+///                            index filtered, others rebuilt).
 ///                            1.0 disables compaction (a ratio can never
 ///                            exceed it).
 ///  - num_shards              common.shardsNum: independent shards the

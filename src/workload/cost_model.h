@@ -1,8 +1,8 @@
 // The calibrated machine model that converts counted per-query work into
-// deterministic QPS, and index parameters into simulated build times. See
-// DESIGN.md "Substitutions": relative orderings come from real work ratios;
-// the constants only set absolute magnitudes (calibrated to the paper's
-// 10^2..2x10^3 QPS range on a 72-core server).
+// deterministic QPS, and index parameters into simulated build times. It
+// stands in for wall-clock timing: relative orderings come from real work
+// ratios; the constants only set absolute magnitudes (calibrated to the
+// paper's 10^2..2x10^3 QPS range on a 72-core server).
 #ifndef VDTUNER_WORKLOAD_COST_MODEL_H_
 #define VDTUNER_WORKLOAD_COST_MODEL_H_
 

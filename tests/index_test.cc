@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/parallel_executor.h"
 #include "index/auto_index.h"
 #include "index/distance.h"
@@ -303,6 +305,103 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SearchBatchParityTest,
                                            IndexType::kIvfFlat,
                                            IndexType::kHnsw,
                                            IndexType::kScann),
+                         [](const ::testing::TestParamInfo<IndexType>& info) {
+                           return IndexTypeName(info.param);
+                         });
+
+// FilteredCopy is compaction's contract. The k-means family restricts its
+// trained index to the kept rows, so searching the copy over the kept rows
+// equals searching the source with the dropped rows filtered out: the same
+// neighbors (renumbered), the same distance bits, the same work — at the
+// built knobs and under a per-call override — and the copy serializes like
+// any built index. FLAT, HNSW and AUTOINDEX return null (rebuild).
+class FilteredCopyTest : public ::testing::TestWithParam<IndexType> {};
+
+TEST_P(FilteredCopyTest, MatchesFilteredSourceSearch) {
+  const IndexType type = GetParam();
+  const size_t n = 900, dim = 24, k = 10, nq = 20;
+  const FloatMatrix data = ClusteredMatrix(n, dim, 12, 0.25, 31);
+  const FloatMatrix queries = ClusteredMatrix(nq, dim, 12, 0.3, 32);
+  IndexParams params;
+  params.nlist = 24;
+  params.nprobe = 6;
+  params.m = 8;
+  params.nbits = 8;
+  params.reorder_k = 40;
+  auto index = CreateIndex(type, Metric::kL2, params, 9);
+  ASSERT_TRUE(index->Build(data).ok());
+
+  // Drop a contiguous block (long dead runs) plus a random ~30% elsewhere.
+  Rng rng(33);
+  std::vector<uint8_t> dropped(n, 0);
+  std::vector<int64_t> old_to_new(n, -1), new_to_old;
+  FloatMatrix kept(0, dim);
+  for (size_t i = 0; i < n; ++i) {
+    dropped[i] = (i >= 100 && i < 250) || rng.Uniform() < 0.3 ? 1 : 0;
+    if (dropped[i] != 0) continue;
+    old_to_new[i] = static_cast<int64_t>(kept.rows());
+    new_to_old.push_back(static_cast<int64_t>(i));
+    kept.AppendRow(data.Row(i), dim);
+  }
+
+  const std::unique_ptr<VectorIndex> copy = index->FilteredCopy(old_to_new,
+                                                                kept);
+  if (type == IndexType::kFlat || type == IndexType::kHnsw ||
+      type == IndexType::kAutoIndex) {
+    EXPECT_EQ(copy, nullptr);
+    return;
+  }
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->type(), type);
+  EXPECT_EQ(copy->Size(), kept.rows());
+
+  // The copy is a complete index state: a serialize/restore round trip over
+  // the kept rows must answer identically too.
+  std::vector<uint8_t> state;
+  ByteWriter writer(&state);
+  ASSERT_TRUE(copy->SerializeState(&writer).ok());
+  auto restored = CreateIndex(type, Metric::kL2, IndexParams{}, 0);
+  ByteReader reader(state.data(), state.size());
+  ASSERT_TRUE(restored->RestoreState(&reader, kept).ok());
+
+  const RowFilter live(dropped.data());
+  IndexParams narrow = params;
+  narrow.nprobe = 2;
+  for (const IndexParams* knobs : {static_cast<const IndexParams*>(nullptr),
+                                   static_cast<const IndexParams*>(&narrow)}) {
+    for (const VectorIndex* compacted : {copy.get(), restored.get()}) {
+      for (size_t q = 0; q < nq; ++q) {
+        WorkCounters want_wc, got_wc;
+        const auto want = index->SearchFiltered(queries.Row(q), k, &live,
+                                                &want_wc, knobs);
+        const auto got = compacted->SearchFiltered(queries.Row(q), k, nullptr,
+                                                   &got_wc, knobs);
+        ASSERT_EQ(got.size(), want.size()) << "query " << q;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(new_to_old[static_cast<size_t>(got[i].id)], want[i].id)
+              << "query " << q << " rank " << i;
+          EXPECT_EQ(std::bit_cast<uint32_t>(got[i].distance),
+                    std::bit_cast<uint32_t>(want[i].distance))
+              << "query " << q << " rank " << i;
+        }
+        EXPECT_EQ(got_wc.full_distance_evals, want_wc.full_distance_evals);
+        EXPECT_EQ(got_wc.coarse_distance_evals, want_wc.coarse_distance_evals);
+        EXPECT_EQ(got_wc.code_distance_evals, want_wc.code_distance_evals);
+        EXPECT_EQ(got_wc.pq_lookup_ops, want_wc.pq_lookup_ops);
+        EXPECT_EQ(got_wc.table_build_flops, want_wc.table_build_flops);
+        EXPECT_EQ(got_wc.reorder_evals, want_wc.reorder_evals);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTypes, FilteredCopyTest,
+                         ::testing::Values(IndexType::kFlat,
+                                           IndexType::kIvfFlat,
+                                           IndexType::kIvfSq8,
+                                           IndexType::kIvfPq, IndexType::kHnsw,
+                                           IndexType::kScann,
+                                           IndexType::kAutoIndex),
                          [](const ::testing::TestParamInfo<IndexType>& info) {
                            return IndexTypeName(info.param);
                          });

@@ -2,11 +2,13 @@
 // sweeps — collection search correctness under arbitrary segment layouts,
 // the dynamic-lifecycle oracle harness (randomized insert/delete/search
 // sequences against a brute-force live-set reference, across seal and
-// compaction boundaries), index recall monotonicity, hypervolume
-// monotonicity, NPI/EHVI sanity, cost-model monotonicities, and
+// compaction boundaries), compaction as pure space reclamation for the
+// k-means family (answers and work unchanged), index recall monotonicity,
+// hypervolume monotonicity, NPI/EHVI sanity, cost-model monotonicities, and
 // failure-injection paths.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <tuple>
@@ -16,6 +18,7 @@
 #include "mobo/hypervolume.h"
 #include "tests/test_util.h"
 #include "tuner/evaluator.h"
+#include "vdms/collection.h"
 #include "workload/replay.h"
 
 namespace vdt {
@@ -284,6 +287,166 @@ TEST_P(LifecycleOracleTest, FilteredSearchMatchesLiveSetOracle) {
   }
 }
 
+/// The query batch's answers and per-query work, served from one snapshot.
+SearchResponse SearchAll(const Collection& coll, const FloatMatrix& queries,
+                         size_t k) {
+  SearchRequest request;
+  request.queries = queries;
+  request.k = k;
+  return coll.Search(request);
+}
+
+/// Same neighbors (ids and distance bits) and the same work, query by query.
+void ExpectSameAnswers(const SearchResponse& before,
+                       const SearchResponse& after) {
+  ASSERT_EQ(after.neighbors.size(), before.neighbors.size());
+  for (size_t q = 0; q < before.neighbors.size(); ++q) {
+    const auto& want = before.neighbors[q];
+    const auto& got = after.neighbors[q];
+    ASSERT_EQ(got.size(), want.size()) << "query " << q;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(std::bit_cast<uint32_t>(got[i].distance),
+                std::bit_cast<uint32_t>(want[i].distance))
+          << "query " << q << " rank " << i;
+    }
+    const WorkCounters& a = before.query_work[q];
+    const WorkCounters& b = after.query_work[q];
+    EXPECT_EQ(b.full_distance_evals, a.full_distance_evals) << "query " << q;
+    EXPECT_EQ(b.coarse_distance_evals, a.coarse_distance_evals)
+        << "query " << q;
+    EXPECT_EQ(b.code_distance_evals, a.code_distance_evals) << "query " << q;
+    EXPECT_EQ(b.pq_lookup_ops, a.pq_lookup_ops) << "query " << q;
+    EXPECT_EQ(b.table_build_flops, a.table_build_flops) << "query " << q;
+    EXPECT_EQ(b.graph_hops, a.graph_hops) << "query " << q;
+    EXPECT_EQ(b.reorder_evals, a.reorder_evals) << "query " << q;
+    EXPECT_EQ(b.shard_scatters, a.shard_scatters) << "query " << q;
+    EXPECT_EQ(b.gather_candidates, a.gather_candidates) << "query " << q;
+  }
+}
+
+/// Mean recall@k of `response` against the exact top-k over the rows of
+/// `data` that `deleted` leaves live (collection id == row of `data`).
+double LiveSetRecall(const SearchResponse& response, const FloatMatrix& data,
+                     const std::vector<uint8_t>& deleted,
+                     const FloatMatrix& queries, Metric metric, size_t k) {
+  const RowFilter live(deleted.data());
+  double sum = 0.0;
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    std::set<int64_t> truth;
+    for (const Neighbor& n :
+         BruteForceSearch(data, metric, queries.Row(q), k, nullptr, &live)) {
+      truth.insert(n.id);
+    }
+    size_t found = 0;
+    for (const Neighbor& n : response.neighbors[q]) found += truth.count(n.id);
+    sum += static_cast<double>(found) / static_cast<double>(truth.size());
+  }
+  return sum / static_cast<double>(queries.rows());
+}
+
+/// Small-collection layout shared by the compaction cases: `rows` stand-in
+/// rows, sealed segments of `seal_rows`, a 40-row insert buffer, everything
+/// above 32 rows indexed, compaction disabled (trigger 1.0) until a case
+/// lowers it.
+CollectionOptions CompactionOptions(IndexType type, Metric metric,
+                                    size_t rows, size_t seal_rows,
+                                    uint64_t seed) {
+  CollectionOptions opts;
+  opts.metric = metric;
+  opts.scale.dataset_mb = 100.0;
+  opts.scale.actual_rows = rows;
+  opts.index.type = type;
+  // A third of the cells probed, so answers depend on which cell each row
+  // sits in; the other knobs as in the lifecycle harness.
+  opts.index.params.nlist = 12;
+  opts.index.params.nprobe = 4;
+  opts.index.params.m = 8;
+  opts.index.params.nbits = 8;
+  opts.index.params.hnsw_m = 16;
+  opts.index.params.ef_construction = 128;
+  opts.index.params.ef = 96;
+  opts.index.params.reorder_k = 60;
+  opts.system.segment_max_size_mb = 100.0;
+  opts.system.seal_proportion =
+      static_cast<double>(seal_rows) / static_cast<double>(rows);
+  opts.system.insert_buf_size_mb = 4000.0 / static_cast<double>(rows);
+  opts.system.build_index_threshold = 32;
+  opts.system.compaction_deleted_ratio = 1.0;
+  opts.seed = seed;
+  return opts;
+}
+
+/// Compacts every sealed segment with any tombstone: lowers the trigger,
+/// runs Compact(), restores the trigger. Returns the segments rewritten.
+size_t CompactNow(Collection* coll) {
+  SystemConfig sys = coll->options().system;
+  const double trigger = sys.compaction_deleted_ratio;
+  sys.compaction_deleted_ratio = 0.0;
+  coll->OverrideRuntimeSystem(sys);
+  size_t compacted = 0;
+  EXPECT_TRUE(coll->Compact(&compacted).ok());
+  sys.compaction_deleted_ratio = trigger;
+  coll->OverrideRuntimeSystem(sys);
+  return compacted;
+}
+
+// Compaction is pure space reclamation for the k-means family: each
+// rewritten segment takes its source index filtered to the live rows, so
+// every query returns the same neighbors (ids and distance bits) with the
+// same work as the tombstoned segments did — under both metrics, sharded or
+// not. FLAT rebuilds but scans exactly, so it matches too. HNSW rebuilds
+// its graph: the compaction count advances as for every type and the
+// harness's recall tolerance must hold.
+TEST_P(LifecycleOracleTest, CompactionLeavesSearchUnchanged) {
+  const auto [type, seed] = GetParam();
+  const size_t n = 1200, dim = 16, k = 10;
+  const FloatMatrix queries = ClusteredMatrix(16, dim, 10, 0.33, seed ^ 0x9);
+  for (const Metric metric : {Metric::kAngular, Metric::kL2}) {
+    // L2 runs on unnormalized rows, angular on unit rows.
+    const FloatMatrix data = ClusteredMatrix(n, dim, 10, 0.3, seed,
+                                             metric == Metric::kAngular);
+    for (const int shards : {1, 2}) {
+      SCOPED_TRACE(std::string(metric == Metric::kL2 ? "L2" : "angular") +
+                   " shards=" + std::to_string(shards));
+      CollectionOptions opts =
+          CompactionOptions(type, metric, n, /*seal_rows=*/240, seed);
+      opts.system.num_shards = shards;
+      Collection coll(opts);
+      ASSERT_TRUE(coll.Insert(data).ok());
+      ASSERT_TRUE(coll.Flush().ok());
+
+      // Tombstone ~40% of the rows (compaction disabled), then search.
+      Rng rng(seed + static_cast<uint64_t>(shards));
+      std::vector<uint8_t> deleted(n, 0);
+      std::vector<int64_t> doomed;
+      for (size_t i = 0; i < n; ++i) {
+        if (rng.Uniform() < 0.4) {
+          deleted[i] = 1;
+          doomed.push_back(static_cast<int64_t>(i));
+        }
+      }
+      ASSERT_TRUE(coll.Delete(doomed).ok());
+      const SearchResponse before = SearchAll(coll, queries, k);
+      ASSERT_EQ(before.stats.num_compactions, 0u);
+      ASSERT_EQ(before.stats.tombstoned_rows, doomed.size());
+
+      const size_t compacted = CompactNow(&coll);
+      const SearchResponse after = SearchAll(coll, queries, k);
+      EXPECT_EQ(compacted, before.stats.num_sealed_segments);
+      EXPECT_EQ(after.stats.num_compactions, compacted);
+      EXPECT_EQ(after.stats.tombstoned_rows, 0u);
+      EXPECT_EQ(after.stats.live_rows, n - doomed.size());
+      if (type == IndexType::kHnsw) {
+        EXPECT_GE(LiveSetRecall(after, data, deleted, queries, metric, k),
+                  0.9);
+      } else {
+        ExpectSameAnswers(before, after);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     TypesAndSeeds, LifecycleOracleTest,
     ::testing::Combine(::testing::Values(IndexType::kFlat, IndexType::kIvfFlat,
@@ -294,6 +457,137 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(IndexTypeName(std::get<0>(info.param))) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
+
+// The churn pattern: a sliding window of deletes over the oldest rows, with
+// new rows streaming in behind it, compacts the same sealed segment again
+// and again — each time filtering an index that is itself a filtered copy.
+// No compaction may change an answer, and the stats must track the live set.
+TEST(CompactionTest, SlidingWindowRecompactsWithoutChangingAnswers) {
+  const size_t n = 1000, dim = 16, k = 10, window = 100;
+  const FloatMatrix data = ClusteredMatrix(n, dim, 10, 0.3, 303);
+  const FloatMatrix queries = ClusteredMatrix(16, dim, 10, 0.33, 304);
+  for (const IndexType type : {IndexType::kIvfFlat, IndexType::kIvfSq8,
+                               IndexType::kIvfPq, IndexType::kScann}) {
+    SCOPED_TRACE(IndexTypeName(type));
+    // One shard whose first 600 rows seal into one segment; the 400 rows
+    // inserted afterwards stay in the growing tier.
+    Collection coll(CompactionOptions(type, Metric::kAngular, n,
+                                      /*seal_rows=*/600, 303));
+    ASSERT_TRUE(coll.Insert(data.Slice(0, 600)).ok());
+    ASSERT_TRUE(coll.Flush().ok());
+    ASSERT_EQ(coll.Stats().num_indexed_segments, 1u);
+
+    // Each round deletes `window` sealed rows and inserts `window` new ones.
+    const size_t live = 600;
+    for (size_t round = 0; round < 4; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      std::vector<int64_t> doomed;
+      for (size_t id = round * window; id < (round + 1) * window; ++id) {
+        doomed.push_back(static_cast<int64_t>(id));
+      }
+      ASSERT_TRUE(coll.Delete(doomed).ok());
+      ASSERT_TRUE(coll.Insert(data.Slice(600 + round * window,
+                                         600 + (round + 1) * window))
+                      .ok());
+      const std::shared_ptr<const CollectionSnapshot> old_snap =
+          coll.Snapshot();
+      const SearchResponse before = SearchAll(coll, queries, k);
+
+      ASSERT_EQ(CompactNow(&coll), 1u);
+      const SearchResponse after = SearchAll(coll, queries, k);
+      ExpectSameAnswers(before, after);
+
+      // The same segment was rewritten: same slot and base id, a new
+      // segment holding exactly the survivors, still indexed.
+      const SegmentView& was = old_snap->shards[0].sealed[0];
+      const SegmentView& now = coll.Snapshot()->shards[0].sealed[0];
+      EXPECT_NE(now.segment, was.segment);
+      EXPECT_EQ(now.segment->base_id(), was.segment->base_id());
+      EXPECT_EQ(now.segment->rows(), was.live_rows());
+      EXPECT_TRUE(now.segment->indexed());
+      EXPECT_EQ(now.segment->index()->Size(), now.segment->rows());
+
+      const CollectionStats stats = coll.Stats();
+      EXPECT_EQ(stats.num_compactions, round + 1);
+      EXPECT_EQ(stats.live_rows, live);
+      EXPECT_EQ(stats.stored_rows, stats.live_rows);
+      EXPECT_EQ(stats.tombstoned_rows, 0u);
+    }
+  }
+}
+
+// Survivors below build_index_threshold leave an index-less (brute-force)
+// segment even when the source was indexed, exactly as a fresh seal would.
+TEST(CompactionTest, SurvivorsBelowThresholdStayIndexLess) {
+  const size_t n = 240, dim = 16, k = 10;
+  const FloatMatrix data = ClusteredMatrix(n, dim, 10, 0.3, 305);
+  const FloatMatrix queries = ClusteredMatrix(8, dim, 10, 0.33, 306);
+  for (const IndexType type : {IndexType::kIvfFlat, IndexType::kScann}) {
+    SCOPED_TRACE(IndexTypeName(type));
+    CollectionOptions opts =
+        CompactionOptions(type, Metric::kAngular, n, /*seal_rows=*/240, 305);
+    opts.system.build_index_threshold = 100;
+    opts.system.compaction_deleted_ratio = 0.25;  // compacts inline
+    Collection coll(opts);
+    ASSERT_TRUE(coll.Insert(data).ok());
+    ASSERT_TRUE(coll.Flush().ok());
+    ASSERT_EQ(coll.Stats().num_indexed_segments, 1u);
+
+    std::vector<int64_t> doomed;
+    std::vector<uint8_t> deleted(n, 0);
+    for (size_t id = 0; id < 200; ++id) {
+      doomed.push_back(static_cast<int64_t>(id));
+      deleted[id] = 1;
+    }
+    ASSERT_TRUE(coll.Delete(doomed).ok());
+    const CollectionStats stats = coll.Stats();
+    EXPECT_EQ(stats.num_compactions, 1u);
+    EXPECT_EQ(stats.num_sealed_segments, 1u);
+    EXPECT_EQ(stats.num_indexed_segments, 0u);
+    EXPECT_EQ(stats.live_rows, 40u);
+    // Brute force is exact: every answer is the live-set top-k.
+    EXPECT_DOUBLE_EQ(LiveSetRecall(SearchAll(coll, queries, k), data, deleted,
+                                   queries, Metric::kAngular, k),
+                     1.0);
+  }
+}
+
+// HNSW and AUTOINDEX cannot filter their graphs: compaction rebuilds them
+// (segments of 700 rows, so AUTOINDEX delegates to HNSW), counts every
+// rewrite, and keeps the lifecycle harness's recall tolerance.
+TEST(CompactionTest, GraphIndexesRebuildAndKeepRecall) {
+  const size_t n = 1400, dim = 16, k = 10;
+  const FloatMatrix data = ClusteredMatrix(n, dim, 10, 0.3, 307);
+  const FloatMatrix queries = ClusteredMatrix(16, dim, 10, 0.33, 308);
+  for (const IndexType type : {IndexType::kHnsw, IndexType::kAutoIndex}) {
+    SCOPED_TRACE(IndexTypeName(type));
+    CollectionOptions opts =
+        CompactionOptions(type, Metric::kAngular, n, /*seal_rows=*/700, 307);
+    opts.system.compaction_deleted_ratio = 0.25;  // compacts inline
+    Collection coll(opts);
+    ASSERT_TRUE(coll.Insert(data).ok());
+    ASSERT_TRUE(coll.Flush().ok());
+    ASSERT_EQ(coll.Stats().num_indexed_segments, 2u);
+
+    Rng rng(307);
+    std::vector<uint8_t> deleted(n, 0);
+    std::vector<int64_t> doomed;
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Uniform() < 0.4) {
+        deleted[i] = 1;
+        doomed.push_back(static_cast<int64_t>(i));
+      }
+    }
+    ASSERT_TRUE(coll.Delete(doomed).ok());
+    const SearchResponse after = SearchAll(coll, queries, k);
+    EXPECT_EQ(after.stats.num_compactions, 2u);
+    EXPECT_EQ(after.stats.num_indexed_segments, 2u);
+    EXPECT_EQ(after.stats.tombstoned_rows, 0u);
+    EXPECT_GE(LiveSetRecall(after, data, deleted, queries, Metric::kAngular,
+                            k),
+              0.9);
+  }
+}
 
 // --------------------------------------------------------- hypervolume
 

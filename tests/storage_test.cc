@@ -1,7 +1,8 @@
 // Persistence subsystem tests: restart parity (a collection sealed, flushed,
 // mutated through the WAL, then reopened must return bit-identical Search
 // and Stats to the never-restarted collection — for every index family and
-// across a compaction boundary), kill-style crash recovery against the
+// across a compaction boundary; replayed filtered compactions regenerate
+// byte-identical segment files), kill-style crash recovery against the
 // brute-force live-set oracle, engine data-dir handling, and typed refusal
 // of foreign/corrupt on-disk state.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -167,6 +169,112 @@ INSTANTIATE_TEST_SUITE_P(AllIndexTypes, RestartParityTest,
                                            IndexType::kIvfPq, IndexType::kHnsw,
                                            IndexType::kScann,
                                            IndexType::kAutoIndex));
+
+/// Every seg-<uid>.vseg file in `dir`, name -> bytes.
+std::map<std::string, std::vector<uint8_t>> SegmentFiles(
+    const std::string& dir) {
+  std::map<std::string, std::vector<uint8_t>> files;
+  auto names = ListDir(dir);
+  EXPECT_TRUE(names.ok());
+  if (!names.ok()) return files;
+  for (const std::string& name : *names) {
+    if (name.find(".vseg") == std::string::npos) continue;
+    auto bytes = ReadFileBytes(dir + "/" + name);
+    EXPECT_TRUE(bytes.ok()) << name;
+    if (bytes.ok()) files[name] = std::move(*bytes);
+  }
+  return files;
+}
+
+class FilteredCompactionRestartTest
+    : public ::testing::TestWithParam<IndexType> {};
+
+// Chained filtered compactions across a restart. A sliding window of
+// deletes over the oldest rows compacts each shard's first segment once
+// before a checkpoint and twice more in the WAL tail, so replay filters an
+// index restored from its segment file, then filters that copy again. The
+// segment files the tail wrote are removed before reopening (a crash that
+// lost them after their WAL records were durable): replay must regenerate
+// each one byte for byte, and searches must stay bit-identical.
+TEST_P(FilteredCompactionRestartTest, ReplayRegeneratesIdenticalFiles) {
+  const IndexType type = GetParam();
+  const size_t n = 900, dim = 16, k = 10;
+  const uint64_t seed = 78;
+  const FloatMatrix data = ClusteredMatrix(n, dim, 10, 0.3, seed);
+  const FloatMatrix queries = ClusteredMatrix(12, dim, 10, 0.33, seed ^ 0x9);
+  auto window = [](int64_t begin, int64_t end) {
+    std::vector<int64_t> ids;
+    for (int64_t id = begin; id < end; ++id) ids.push_back(id);
+    return ids;
+  };
+
+  TempDir td;
+  VdmsEngineOptions eopts;
+  eopts.data_dir = td.path();
+  const std::string dir = td.path() + "/c";
+
+  std::vector<std::vector<Neighbor>> expected;
+  CollectionStats expected_stats;
+  std::map<std::string, std::vector<uint8_t>> checkpointed, tail_files;
+  {
+    VdmsEngine engine(eopts);
+    ASSERT_TRUE(engine.CreateCollection(ChurnOptions(type, n, seed)).ok());
+    ASSERT_TRUE(engine.Insert("c", data.Slice(0, 600)).ok());
+    ASSERT_TRUE(engine.Flush("c").ok());
+    ASSERT_TRUE(engine.Delete("c", window(0, 80)).ok());
+    ASSERT_TRUE(engine.Flush("c").ok());
+    checkpointed = SegmentFiles(dir);
+    // WAL tail: two more windows around a batch of inserts (which seal
+    // new segments inline).
+    ASSERT_TRUE(engine.Delete("c", window(80, 140)).ok());
+    ASSERT_TRUE(engine.Insert("c", data.Slice(600, 900)).ok());
+    ASSERT_TRUE(engine.Delete("c", window(140, 185)).ok());
+
+    auto handle = engine.Open("c");
+    ASSERT_TRUE(handle.ok());
+    expected_stats = (*handle)->Stats();
+    ASSERT_GE(expected_stats.num_compactions, 6u)
+        << "test layout no longer chains three compactions per shard";
+    for (const ShardView& shard : (*handle)->Snapshot()->shards) {
+      ASSERT_TRUE(shard.sealed.front().segment->indexed())
+          << "the last compaction no longer filters an index";
+    }
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      expected.push_back((*handle)->Search(queries.Row(q), k, nullptr));
+    }
+  }
+  for (auto& [name, bytes] : SegmentFiles(dir)) {
+    if (checkpointed.count(name) != 0) continue;
+    ASSERT_TRUE(RemoveFileIfExists(dir + "/" + name).ok()) << name;
+    tail_files[name] = std::move(bytes);
+  }
+  ASSERT_FALSE(tail_files.empty());
+
+  VdmsEngine reopened(eopts);
+  ASSERT_TRUE(reopened.Open().ok());
+  auto handle = reopened.Open("c");
+  ASSERT_TRUE(handle.ok());
+  const auto regenerated = SegmentFiles(dir);
+  for (const auto& [name, bytes] : tail_files) {
+    const auto it = regenerated.find(name);
+    ASSERT_NE(it, regenerated.end()) << name << " was not regenerated";
+    EXPECT_TRUE(it->second == bytes) << name << " differs after replay";
+  }
+  ExpectStatsEqual((*handle)->Stats(), expected_stats);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    const auto got = (*handle)->Search(queries.Row(q), k, nullptr);
+    ASSERT_EQ(got.size(), expected[q].size()) << "query " << q;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, expected[q][i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(got[i].distance, expected[q][i].distance)
+          << "query " << q << " rank " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KMeansFamily, FilteredCompactionRestartTest,
+                         ::testing::Values(IndexType::kIvfFlat,
+                                           IndexType::kIvfPq));
 
 // Knob updates (search params, runtime system overrides) land in the WAL,
 // so a reopened collection searches under the same knobs it crashed with.
