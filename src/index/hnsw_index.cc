@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <queue>
 #include <string>
 
@@ -19,7 +21,65 @@ namespace {
 /// one batch do not see each other, which is the only difference from the
 /// sequential (batch = 1) insertion order.
 constexpr size_t kBuildBatch = 16;
+
+/// Outcome of the last selection pass over a list, per member: kept, not
+/// examined (appended since that pass), or — any other value — pruned by
+/// that member, which the same pass kept.
+constexpr uint32_t kKept = std::numeric_limits<uint32_t>::max();
+constexpr uint32_t kUnexamined = kKept - 1;
+
+/// A selection candidate, ordered like Neighbor: by distance to the list
+/// owner, ties by id.
+struct Candidate {
+  float distance;
+  uint32_t id;
+  uint32_t outcome;  // of the last pass that examined it
+
+  bool operator<(const Candidate& other) const {
+    return distance < other.distance ||
+           (distance == other.distance && id < other.id);
+  }
+};
 }  // namespace
+
+/// Slot s of list (node, level) describes LinksAt(node, level)[s]: the
+/// member's distance to the owner and its last outcome. Each list owns
+/// MaxDegree(level) slots, as many as it can hold.
+struct HnswIndex::BuildState {
+  struct Link {
+    float distance;
+    uint32_t outcome;
+  };
+
+  BuildState(const std::vector<int>& node_level, size_t max_degree0,
+             size_t max_degree)
+      : slots0(max_degree0), slots(max_degree),
+        first(node_level.size()), kept(node_level.size(), 0) {
+    size_t total = 0;
+    for (size_t i = 0; i < node_level.size(); ++i) {
+      first[i] = total;
+      total += slots0 + static_cast<size_t>(node_level[i]) * slots;
+    }
+    links.resize(total);
+  }
+
+  Link* At(uint32_t node, int level) {
+    return &links[first[node] +
+                  (level == 0 ? 0 : slots0 + (level - 1) * slots)];
+  }
+
+  size_t slots0;              // per level-0 list
+  size_t slots;               // per upper-layer list
+  std::vector<size_t> first;  // per node: its level-0 list's first slot
+  std::vector<Link> links;
+
+  // Selection scratch, reused across passes.
+  std::vector<Candidate> candidates;
+  std::vector<Candidate> merged;
+  std::vector<Candidate> pruned;
+  std::vector<uint32_t> fresh;  // kept by this pass but not by the last one
+  std::vector<uint8_t> kept;    // per node: kept so far by this pass
+};
 
 float HnswIndex::Dist(const float* query, uint32_t id,
                       WorkCounters* counters) const {
@@ -113,36 +173,98 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
   return results.Take();
 }
 
-std::vector<uint32_t> HnswIndex::SelectNeighbors(
-    const float* query, const std::vector<Neighbor>& candidates,
-    size_t max_m) const {
-  // Diversity heuristic: keep a candidate only if it is closer to the query
-  // than to every neighbor selected so far; backfill with pruned candidates.
-  std::vector<uint32_t> selected;
-  std::vector<uint32_t> pruned;
-  for (const Neighbor& cand : candidates) {
-    if (selected.size() >= max_m) break;
-    bool keep = true;
-    for (uint32_t s : selected) {
-      const float d_cs = Distance(metric_, data_->Row(cand.id), data_->Row(s),
-                                  data_->dim());
-      if (d_cs < cand.distance) {
-        keep = false;
-        break;
-      }
+void HnswIndex::SelectLinks(BuildState* state, uint32_t owner, int level) {
+  const size_t max_m = MaxDegree(level);
+  const size_t dim = data_->dim();
+  // The first of `among` closer to `c` than the owner is, or kKept.
+  auto pruned_by = [&](const Candidate& c,
+                       const std::vector<uint32_t>& among) {
+    const float* row = data_->Row(c.id);
+    for (uint32_t s : among) {
+      if (Distance(metric_, row, data_->Row(s), dim) < c.distance) return s;
     }
-    if (keep) {
-      selected.push_back(static_cast<uint32_t>(cand.id));
+    return kKept;
+  };
+
+  // A pruned candidate never changes another's decision, so the last pass's
+  // decisions carry over: a member it kept can only be pruned by a member
+  // this pass keeps and it did not; one it pruned stays pruned while its
+  // pruner is kept. Everything else gets the full check.
+  std::vector<uint32_t>& links = LinksAt(owner, level);
+  BuildState::Link* slots = state->At(owner, level);
+  links.clear();
+  state->fresh.clear();
+  state->pruned.clear();
+  for (const Candidate& c : state->candidates) {
+    if (links.size() >= max_m) break;
+    uint32_t outcome;
+    if (c.outcome == kKept) {
+      outcome = pruned_by(c, state->fresh);
+    } else if (c.outcome != kUnexamined && state->kept[c.outcome] != 0) {
+      outcome = c.outcome;
     } else {
-      pruned.push_back(static_cast<uint32_t>(cand.id));
+      outcome = pruned_by(c, links);
     }
+    if (outcome != kKept) {
+      state->pruned.push_back({c.distance, c.id, outcome});
+      continue;
+    }
+    if (c.outcome != kKept) state->fresh.push_back(c.id);
+    state->kept[c.id] = 1;
+    slots[links.size()] = {c.distance, kKept};
+    links.push_back(c.id);
   }
-  for (uint32_t p : pruned) {
-    if (selected.size() >= max_m) break;
-    selected.push_back(p);
+  for (uint32_t id : links) state->kept[id] = 0;
+  for (const Candidate& p : state->pruned) {
+    if (links.size() >= max_m) break;
+    slots[links.size()] = {p.distance, p.outcome};
+    links.push_back(p.id);
   }
-  (void)query;
-  return selected;
+}
+
+void HnswIndex::LinkBack(BuildState* state, uint32_t owner, int level,
+                         uint32_t node, float distance) {
+  std::vector<uint32_t>& links = LinksAt(owner, level);
+  BuildState::Link* slots = state->At(owner, level);
+  if (links.size() < MaxDegree(level)) {
+    slots[links.size()] = {distance, kUnexamined};
+    links.push_back(node);
+    return;
+  }
+
+  // Overflow: the full list plus the new member, at the distances already
+  // recorded, go through the selection again.
+  std::vector<Candidate>& cands = state->candidates;
+  cands.clear();
+  for (size_t s = 0; s < links.size(); ++s) {
+    cands.push_back({slots[s].distance, links[s], slots[s].outcome});
+  }
+  // A finished pass left its kept run, then its backfilled run, each in
+  // order, so merging the two and placing the new member sorts the list.
+  // Members appended before the list first overflowed are unordered and
+  // need a sort. Sorting on every overflow instead costs 1.3x the build
+  // time at M=16 and 2.5x at M=64 (48-d rows, AVX-512).
+  const Candidate added{distance, node, kUnexamined};
+  const auto kept_end =
+      std::find_if(cands.begin(), cands.end(),
+                   [](const Candidate& c) { return c.outcome != kKept; });
+  const bool ordered =
+      std::none_of(kept_end, cands.end(), [](const Candidate& c) {
+        return c.outcome == kUnexamined;
+      });
+  if (ordered) {
+    std::vector<Candidate>& merged = state->merged;
+    merged.clear();
+    std::merge(cands.begin(), kept_end, kept_end, cands.end(),
+               std::back_inserter(merged));
+    merged.insert(std::upper_bound(merged.begin(), merged.end(), added),
+                  added);
+    cands.swap(merged);
+  } else {
+    cands.push_back(added);
+    std::sort(cands.begin(), cands.end());
+  }
+  SelectLinks(state, owner, level);
 }
 
 Status HnswIndex::Build(const FloatMatrix& data) {
@@ -155,6 +277,11 @@ Status HnswIndex::Build(const FloatMatrix& data) {
     return Status::InvalidArgument(
         "HNSW build: efConstruction must be >= 8 (got " +
         std::to_string(params_.ef_construction) + ")");
+  }
+  // Node ids are 32-bit, and the build reserves the top two as outcomes.
+  if (data.rows() >= kUnexamined) {
+    return Status::InvalidArgument("HNSW build: too many rows (got " +
+                                   std::to_string(data.rows()) + ")");
   }
   data_ = &data;
   const size_t n = data.rows();
@@ -179,11 +306,16 @@ Status HnswIndex::Build(const FloatMatrix& data) {
     const int level = static_cast<int>(std::floor(-std::log(u) * mult));
     node_level_[i] = level;
     upper_[i].assign(static_cast<size_t>(level), {});
+    // A list never holds more than its max degree (an overflowing back-link
+    // is re-pruned before it lands), so this is its only allocation.
+    links0_[i].reserve(MaxDegree(0));
+    for (auto& links : upper_[i]) links.reserve(MaxDegree(1));
   }
 
   // First node becomes the entry point.
   entry_ = 0;
   max_level_ = node_level_[0];
+  BuildState state(node_level_, MaxDegree(0), MaxDegree(1));
 
   const size_t ef_c = static_cast<size_t>(params_.ef_construction);
   for (size_t batch_begin = 1; batch_begin < n; batch_begin += batch) {
@@ -232,29 +364,23 @@ Status HnswIndex::Build(const FloatMatrix& data) {
     // are the only writes, so the build is deterministic for any width.
     for (size_t j = 0; j < batch_n; ++j) {
       const uint32_t i = static_cast<uint32_t>(batch_begin + j);
-      const float* q = data.Row(i);
       const auto& per_level = plans[j];
       for (int lc = static_cast<int>(per_level.size()) - 1; lc >= 0; --lc) {
-        const std::vector<Neighbor>& nearest = per_level[lc];
-        const size_t max_m = MaxDegree(lc);
-        std::vector<uint32_t> neighbors = SelectNeighbors(q, nearest, max_m);
-        LinksAt(i, lc) = neighbors;
+        state.candidates.clear();
+        for (const Neighbor& nb : per_level[lc]) {
+          state.candidates.push_back(
+              {nb.distance, static_cast<uint32_t>(nb.id), kUnexamined});
+        }
+        SelectLinks(&state, i, lc);
 
-        // Bidirectional connections with degree-bounded pruning.
-        for (uint32_t nb : neighbors) {
-          std::vector<uint32_t>& back = LinksAt(nb, lc);
-          back.push_back(i);
-          if (back.size() > max_m) {
-            std::vector<Neighbor> cands;
-            cands.reserve(back.size());
-            for (uint32_t b : back) {
-              cands.push_back({static_cast<int64_t>(b),
-                               Distance(metric_, data.Row(nb), data.Row(b),
-                                        data.dim())});
-            }
-            std::sort(cands.begin(), cands.end());
-            back = SelectNeighbors(data.Row(nb), cands, max_m);
-          }
+        // Bidirectional connections with degree-bounded pruning. Each
+        // neighbor gets the distance this node's search measured: the
+        // kernels are symmetric, so it is the distance a fresh call from
+        // the neighbor's side would return, bit for bit.
+        const std::vector<uint32_t>& neighbors = LinksAt(i, lc);
+        const BuildState::Link* slots = state.At(i, lc);
+        for (size_t s = 0; s < neighbors.size(); ++s) {
+          LinkBack(&state, neighbors[s], lc, i, slots[s].distance);
         }
       }
       if (node_level_[i] > max_level_) {
@@ -262,6 +388,11 @@ Status HnswIndex::Build(const FloatMatrix& data) {
         max_level_ = node_level_[i];
       }
     }
+  }
+  // Lists that never filled up give back the rest of their reservation.
+  for (auto& links : links0_) links.shrink_to_fit();
+  for (auto& levels : upper_) {
+    for (auto& links : levels) links.shrink_to_fit();
   }
   return Status::OK();
 }

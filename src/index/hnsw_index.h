@@ -8,6 +8,17 @@
 // is deterministic for any executor width; it differs from the sequential
 // (build_threads == 1) graph only in that same-batch nodes do not link to
 // each other, which preserves recall within test tolerance.
+//
+// The commit re-prunes a neighbor's list whenever a back-link overflows it,
+// and it does so incrementally: each list carries build-only state (per
+// link, the member's distance to the owner and whether the last selection
+// pass kept it or which member pruned it), so a re-prune reuses the last
+// pass's decisions and recomputes only the checks the new member can
+// change. The graph is byte-identical to re-running the selection from
+// scratch on every overflow. Every list is reserved once at its layer's max
+// degree and never grows past it. The state takes 8 bytes per reserved
+// slot: 16*M bytes per node at layer 0, twice the finished level-0 list.
+// It is freed, and every list trimmed to its size, when Build returns.
 #ifndef VDTUNER_INDEX_HNSW_INDEX_H_
 #define VDTUNER_INDEX_HNSW_INDEX_H_
 
@@ -60,12 +71,21 @@ class HnswIndex : public VectorIndex {
                                     const RowFilter* filter,
                                     WorkCounters* counters) const;
 
-  /// Malkov's diversity heuristic: selects up to `max_m` neighbors from
-  /// `candidates` (sorted ascending), preferring candidates closer to the
-  /// query than to any already-selected neighbor.
-  std::vector<uint32_t> SelectNeighbors(const float* query,
-                                        const std::vector<Neighbor>& candidates,
-                                        size_t max_m) const;
+  /// Build-only per-link state and selection scratch (hnsw_index.cc).
+  struct BuildState;
+
+  /// Malkov's diversity heuristic over `state`'s candidates (sorted by
+  /// distance to `owner`, ties by id): keeps a candidate only if it is
+  /// closer to the owner than to every neighbor kept before it, then
+  /// backfills with pruned candidates, up to MaxDegree(level). Writes the
+  /// result, kept run first, to (owner, level) and its per-link state.
+  void SelectLinks(BuildState* state, uint32_t owner, int level);
+
+  /// Adds `node` at `distance` to (owner, level): appends it while the list
+  /// has room, else re-prunes the full list plus `node` from its per-link
+  /// state.
+  void LinkBack(BuildState* state, uint32_t owner, int level, uint32_t node,
+                float distance);
 
   std::vector<uint32_t>& LinksAt(uint32_t node, int level);
   const std::vector<uint32_t>& LinksAt(uint32_t node, int level) const;

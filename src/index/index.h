@@ -167,7 +167,10 @@ class VectorIndex {
   /// merged in chunk order. HNSW is deterministic for any executor width,
   /// but its batched graph (build_threads != 1) differs from the sequential
   /// one (build_threads == 1) by design; the two are recall-equivalent
-  /// within test tolerance.
+  /// within test tolerance. HNSW re-prunes overflowing neighbor lists
+  /// incrementally from build-only per-link state (8 bytes per link slot,
+  /// 16*M bytes per node at layer 0, freed when Build returns); its graph
+  /// is byte-identical to a from-scratch re-prune.
   virtual Status Build(const FloatMatrix& data) = 0;
 
   /// Exact/approximate top-k for `query`; results sorted by distance

@@ -1,20 +1,25 @@
 // Sequential-vs-parallel Build() parity: the kmeans-family indexes
 // (IVF_FLAT/SQ8/PQ, SCANN) and FLAT must produce bit-identical structures
 // for every build_threads value; HNSW must be deterministic per mode and
-// recall-equivalent across modes. Also covers the chunked kmeans/scatter
-// primitives, the n < threads and odd-dim edge cases, the collection-level
-// plumbing, and the named build error messages.
+// recall-equivalent across modes, with its graph bytes pinned per kernel
+// backend. Also covers the chunked kmeans/scatter primitives, the
+// n < threads and odd-dim edge cases, the collection-level plumbing, and
+// the named build error messages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/parallel_executor.h"
 #include "index/index.h"
 #include "index/ivf_index.h"
+#include "index/kernels/kernels.h"
 #include "index/kmeans.h"
 #include "tests/test_util.h"
 #include "tuner/evaluator.h"
@@ -25,6 +30,7 @@
 namespace vdt {
 namespace {
 
+using testing_util::BackendGuard;
 using testing_util::ClusteredMatrix;
 using testing_util::RandomMatrix;
 
@@ -233,6 +239,132 @@ TEST(HnswBuildParityTest, SignatureRecordsModeButNeverWidth) {
                          IndexType::kIvfPq, IndexType::kScann}) {
     EXPECT_EQ(BuildSignature(type, seq), BuildSignature(type, par8))
         << IndexTypeName(type);
+  }
+}
+
+// -------------------------------------------------- HNSW graph bytes pinned
+
+/// Uniform rows in [-1, 1), L2-normalized in double when `normalize`; with
+/// `period` > 0 row i repeats row i % period (exact duplicates, so distance
+/// ties are broken by id). Uses no libm transcendental and no kernel, so
+/// the rows are the same bits on every host and under every backend.
+FloatMatrix PinnedRows(size_t rows, size_t dim, uint64_t seed, bool normalize,
+                       size_t period) {
+  Rng rng(seed);
+  FloatMatrix m(rows, dim);
+  for (size_t i = 0; i < rows; ++i) {
+    float* row = m.Row(i);
+    if (period > 0 && i >= period) {
+      std::copy_n(m.Row(i % period), dim, row);
+      continue;
+    }
+    double norm = 0.0;
+    for (size_t d = 0; d < dim; ++d) {
+      row[d] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      norm += static_cast<double>(row[d]) * row[d];
+    }
+    if (!normalize) continue;
+    norm = std::sqrt(norm);
+    for (size_t d = 0; d < dim; ++d) {
+      row[d] = static_cast<float>(row[d] / norm);
+    }
+  }
+  return m;
+}
+
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// One pinned HNSW build: its inputs and the FNV-1a digest of its
+/// SerializeState bytes under each x86-64 backend.
+struct GraphPin {
+  const char* name;
+  Metric metric;
+  bool normalize;
+  size_t rows;
+  size_t dim;
+  size_t period;  // rows repeat every `period` rows; 0 = all distinct
+  int hnsw_m;
+  int ef_construction;
+  int build_threads;  // 1 = sequential mode, 0 = batched mode
+  uint64_t scalar;
+  uint64_t avx2;
+  uint64_t avx512;
+};
+
+const uint64_t* PinnedDigest(const GraphPin& pin, const std::string& backend) {
+  if (backend == "scalar") return &pin.scalar;
+  if (backend == "avx2") return &pin.avx2;
+  if (backend == "avx512") return &pin.avx512;
+  return nullptr;
+}
+
+// The graph is a function of (rows, params, seed) and the backend's distance
+// bits; a construction change that moves one link, or reorders one list,
+// changes a digest. The digests were recorded when every back-link overflow
+// re-ran the selection from scratch, so they also pin the incremental
+// re-prune as exact. Backends without a recorded digest (neon) are skipped.
+TEST(HnswBuildParityTest, GraphBytesPinnedPerBackend) {
+  const GraphPin pins[] = {
+      {"autoindex_profile_seq", Metric::kAngular, true, 1000, 32, 0, 16, 128,
+       1, 0xa1ee11c9c58d9d9full, 0xa1ee11c9c58d9d9full, 0xa1ee11c9c58d9d9full},
+      {"autoindex_profile_batched", Metric::kAngular, true,
+       1000, 32, 0, 16, 128,
+       0, 0x7fa723dfb6ea7b89ull, 0x7fa723dfb6ea7b89ull, 0x7fa723dfb6ea7b89ull},
+      {"m48_efc256", Metric::kAngular, true, 700, 40, 0, 48, 256,
+       0, 0x76bd0cc3336eca57ull, 0x9c28beda85d0c0e7ull, 0x9c28beda85d0c0e7ull},
+      {"m2_deep_layers", Metric::kAngular, true, 500, 12, 0, 2, 16,
+       1, 0x6c631e9b1d254f25ull, 0x6c631e9b1d254f25ull, 0x6c631e9b1d254f25ull},
+      {"one_row", Metric::kAngular, true, 1, 8, 0, 4, 16,
+       1, 0xd960db198d011178ull, 0xd960db198d011178ull, 0xd960db198d011178ull},
+      {"two_rows", Metric::kAngular, true, 2, 8, 0, 4, 16,
+       0, 0x4195c7a73999b25bull, 0x4195c7a73999b25bull, 0x4195c7a73999b25bull},
+      {"rows17", Metric::kAngular, true, 17, 8, 0, 4, 16,
+       1, 0x95ef7ae0ba9e4640ull, 0x95ef7ae0ba9e4640ull, 0x95ef7ae0ba9e4640ull},
+      {"rows33", Metric::kAngular, true, 33, 8, 0, 4, 16,
+       0, 0xb8a3c7e4bf6e4048ull, 0xb8a3c7e4bf6e4048ull, 0xb8a3c7e4bf6e4048ull},
+      {"duplicates_every7", Metric::kAngular, true, 300, 16, 7, 8, 32,
+       1, 0xc3803ee5b96fbe87ull, 0xc3803ee5b96fbe87ull, 0xc3803ee5b96fbe87ull},
+      {"duplicates_every30", Metric::kAngular, true, 400, 16, 30, 8, 32,
+       0, 0xcbf93a953d518da1ull, 0xcbf93a953d518da1ull, 0xcbf93a953d518da1ull},
+      {"l2_unnormalized_seq", Metric::kL2, false, 600, 37, 0, 12, 64,
+       1, 0xdd3ef7e55fb5f9eeull, 0xdd3ef7e55fb5f9eeull, 0xdd3ef7e55fb5f9eeull},
+      {"l2_unnormalized_batched", Metric::kL2, false, 600, 37, 0, 12, 64,
+       0, 0xe7161e3626dc8a18ull, 0xe7161e3626dc8a18ull, 0xe7161e3626dc8a18ull},
+      {"ip_unnormalized_seq", Metric::kInnerProduct, false, 600, 37, 0, 12, 64,
+       1, 0xab57dec14bb774c8ull, 0xab57dec14bb774c8ull, 0xab57dec14bb774c8ull},
+      {"ip_unnormalized_batched", Metric::kInnerProduct, false,
+       600, 37, 50, 12, 64,
+       0, 0x160b46a164d0c2d5ull, 0x160b46a164d0c2d5ull, 0x160b46a164d0c2d5ull},
+  };
+  BackendGuard guard;
+  for (const kernels::Backend* backend : kernels::AvailableBackends()) {
+    const std::string name = backend->name;
+    ASSERT_TRUE(kernels::SetActive(name));
+    for (const GraphPin& pin : pins) {
+      const uint64_t* want = PinnedDigest(pin, name);
+      if (want == nullptr) continue;
+      const FloatMatrix data = PinnedRows(pin.rows, pin.dim, 61, pin.normalize,
+                                          pin.period);
+      IndexParams params;
+      params.hnsw_m = pin.hnsw_m;
+      params.ef_construction = pin.ef_construction;
+      params.build_threads = pin.build_threads;
+      auto index = CreateIndex(IndexType::kHnsw, pin.metric, params, 17);
+      ASSERT_TRUE(index->Build(data).ok()) << pin.name;
+      std::vector<uint8_t> bytes;
+      ByteWriter writer(&bytes);
+      ASSERT_TRUE(index->SerializeState(&writer).ok()) << pin.name;
+      EXPECT_EQ(Fnv1a(bytes), *want)
+          << pin.name << " under " << name << ": got 0x" << std::hex
+          << Fnv1a(bytes);
+    }
   }
 }
 

@@ -27,17 +27,8 @@
 namespace vdt {
 namespace {
 
+using testing_util::BackendGuard;
 using testing_util::ClusteredMatrix;
-
-/// Restores the active backend on scope exit.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(kernels::Active().name) {}
-  ~BackendGuard() { kernels::SetActive(saved_); }
-
- private:
-  std::string saved_;
-};
 
 bool HaveTwoBackends() { return kernels::AvailableBackends().size() >= 2; }
 

@@ -1,10 +1,11 @@
 // The kernel parity harness: every registered distance-kernel backend is
 // checked against a double-precision oracle across all tail lengths (dims
 // 1..257), unaligned row offsets, zero / subnormal / large-magnitude
-// inputs, and every block size 1..N (block-invariance must hold bitwise).
-// Also pins the scalar reference to the historic 4-accumulator loop
-// bit-for-bit (the pre-subsystem src/index/distance.cc behavior, including
-// its dim < 4 tail handling), and covers the runtime-dispatch registry.
+// inputs, and every block size 1..N (block-invariance must hold bitwise),
+// plus bitwise argument symmetry of dot/L2 and their batch forms. Also pins
+// the scalar reference to the historic 4-accumulator loop bit-for-bit (the
+// pre-subsystem src/index/distance.cc behavior, including its dim < 4 tail
+// handling), and covers the runtime-dispatch registry.
 //
 // Error-bound policy: a float accumulation of m rounded terms satisfies
 // |got - exact| <= ~m * eps * sum_i |term_i| (eps = 2^-23); FMA variants do
@@ -18,6 +19,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -25,9 +27,12 @@
 #include "common/random.h"
 #include "index/distance.h"
 #include "index/kernels/kernels.h"
+#include "tests/test_util.h"
 
 namespace vdt {
 namespace {
+
+using testing_util::BackendGuard;
 
 // ----------------------------------------------------- dispatch startup
 
@@ -48,18 +53,6 @@ TEST(KernelDispatchStartup, ActiveMatchesEnvRequest) {
 }
 
 // ------------------------------------------------------------- helpers
-
-/// Restores the active backend on scope exit, so tests that swap backends
-/// never leak state into later tests (or into the other suites when run
-/// under a specific VDT_KERNEL).
-class BackendGuard {
- public:
-  BackendGuard() : saved_(kernels::Active().name) {}
-  ~BackendGuard() { kernels::SetActive(saved_); }
-
- private:
-  std::string saved_;
-};
 
 struct Oracle {
   double value;      // exact (double-accumulated) result
@@ -247,6 +240,43 @@ TEST_P(KernelOracleTest, BatchKernelsAreBlockInvariantBitwise) {
                          &blocked[begin]);
       }
       EXPECT_EQ(blocked, full_l2) << "dim=" << dim << " block=" << block;
+    }
+  }
+}
+
+// Argument symmetry, bitwise: dot and L2 give the same bits with their
+// arguments swapped, and batch row i equals the one-to-one kernel called as
+// (row i, query). HNSW construction relies on this: it reuses the distance a
+// candidate search measured from the new node as the distance from each
+// neighbor back to it.
+TEST_P(KernelOracleTest, DotAndL2AreSymmetricBitwise) {
+  const kernels::Backend& backend = *GetParam();
+  const auto bits = [](float v) {
+    uint32_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  constexpr size_t kRows = 5;
+  Rng rng(0x5711);
+  for (size_t dim = 1; dim <= 130; ++dim) {
+    std::vector<float> query(dim), rows(kRows * dim);
+    FillRandom(query.data(), dim, 1.5, &rng);
+    FillRandom(rows.data(), rows.size(), 1.5, &rng);
+    std::vector<float> batch_dot(kRows), batch_l2(kRows);
+    backend.dot_batch(query.data(), rows.data(), dim, kRows, batch_dot.data());
+    backend.l2_batch(query.data(), rows.data(), dim, kRows, batch_l2.data());
+    for (size_t i = 0; i < kRows; ++i) {
+      const float* row = &rows[i * dim];
+      const float dot_qr = backend.dot(query.data(), row, dim);
+      const float dot_rq = backend.dot(row, query.data(), dim);
+      const float l2_qr = backend.l2(query.data(), row, dim);
+      const float l2_rq = backend.l2(row, query.data(), dim);
+      EXPECT_EQ(bits(dot_qr), bits(dot_rq)) << "dim=" << dim << " row=" << i;
+      EXPECT_EQ(bits(l2_qr), bits(l2_rq)) << "dim=" << dim << " row=" << i;
+      EXPECT_EQ(bits(batch_dot[i]), bits(dot_rq))
+          << "dim=" << dim << " row=" << i;
+      EXPECT_EQ(bits(batch_l2[i]), bits(l2_rq))
+          << "dim=" << dim << " row=" << i;
     }
   }
 }

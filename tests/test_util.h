@@ -2,9 +2,12 @@
 #ifndef VDTUNER_TESTS_TEST_UTIL_H_
 #define VDTUNER_TESTS_TEST_UTIL_H_
 
+#include <string>
+
 #include "common/float_matrix.h"
 #include "common/random.h"
 #include "index/distance.h"
+#include "index/kernels/kernels.h"
 
 namespace vdt {
 namespace testing_util {
@@ -41,6 +44,18 @@ inline FloatMatrix ClusteredMatrix(size_t rows, size_t dim, int clusters,
   }
   return m;
 }
+
+/// Restores the active backend on scope exit, so tests that swap backends
+/// never leak state into later tests (or into the other suites when run
+/// under a specific VDT_KERNEL).
+class BackendGuard {
+ public:
+  BackendGuard() : saved_(kernels::Active().name) {}
+  ~BackendGuard() { kernels::SetActive(saved_); }
+
+ private:
+  std::string saved_;
+};
 
 }  // namespace testing_util
 }  // namespace vdt
