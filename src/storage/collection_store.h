@@ -7,19 +7,26 @@
 //     *.tmp               in-flight atomic writes (GC'd on open)
 //
 // Durability protocol:
-//  - Seal/Compact write their segment file atomically *before* the segment
-//    is published, under a uid from a counter the manifest checkpoints —
-//    replayed seals regenerate the same uids and byte-identical files.
-//  - Mutations append to the WAL before they apply (write-ahead).
-//  - Checkpoint (at Flush, when the collection state is sealed-only):
-//    create empty wal-<epoch+1>, atomically write a manifest naming it and
-//    the live segment uids + tombstone bitmaps, then delete the old WAL and
-//    any segment file the new manifest no longer references. A crash
-//    between any two steps leaves either the old root or the new root
-//    intact — records are never double-applied because the manifest names
-//    its WAL.
-//  - Recovery: decode MANIFEST -> mmap the named segments -> replay the
-//    named WAL (truncating a torn tail) -> GC everything else.
+//  - Mutations append to the WAL before they apply (write-ahead). For every
+//    segment sealed or compacted since the last checkpoint, that record is
+//    all recovery uses.
+//  - Seal/Compact take the new segment's uid from a counter the manifest
+//    checkpoints (replay re-derives the same uids) but write no file.
+//  - Checkpoint (at Flush, when the collection state is sealed-only): the
+//    checkpoint writes what it names. First every segment the new manifest
+//    names that has no file yet (uid >= the last checkpoint's counter) is
+//    written atomically, in shard then segment order; a segment replaced or
+//    dropped before the checkpoint never gets a file. Then: create empty
+//    wal-<epoch+1>, atomically write a manifest naming it and the live
+//    segment uids + tombstone bitmaps, then delete the old WAL and any
+//    segment file the new manifest no longer references. A failed segment
+//    write returns before the manifest is touched; a crash between any two
+//    steps leaves either the old root or the new root intact — records are
+//    never double-applied because the manifest names its WAL.
+//  - Recovery: decode MANIFEST -> GC everything it does not name -> mmap
+//    the named segments -> replay the named WAL (truncating a torn tail),
+//    which rebuilds later segments in memory only; the next checkpoint
+//    writes their files, byte-identical to a crash-free run's.
 #ifndef VDTUNER_STORAGE_COLLECTION_STORE_H_
 #define VDTUNER_STORAGE_COLLECTION_STORE_H_
 
@@ -78,8 +85,8 @@ class CollectionStore {
   /// allocates the same uids.
   uint64_t AllocateSegmentUid() { return next_uid_++; }
 
-  /// Atomically writes `segment` as seg-<uid>.vseg (overwriting — replay
-  /// regenerates orphans in place).
+  /// Atomically writes `segment` as seg-<uid>.vseg, overwriting a file a
+  /// failed checkpoint left behind (it holds the same bytes).
   Status WriteSegment(const Segment& segment, Metric metric,
                       const std::vector<uint8_t>* tombstones, uint64_t uid);
 

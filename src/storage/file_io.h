@@ -19,7 +19,8 @@ namespace vdt {
 /// fsync'd, and is renamed over `path`, followed by an fsync of the parent
 /// directory — a crash at any point leaves either the old file or the new
 /// one, never a torn mix. The rename also atomically replaces an existing
-/// file, which is how recovery replay overwrites orphan segment files.
+/// file, which is how a checkpoint retried after a failed one rewrites the
+/// segment files that attempt already wrote.
 Status AtomicWriteFile(const std::string& path,
                        const std::vector<uint8_t>& bytes);
 

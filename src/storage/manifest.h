@@ -17,8 +17,9 @@
 //   next_id         i64   id counter at checkpoint (replay re-assigns the
 //                         same ids to WAL inserts)
 //   compactions     u64   global compaction counter (rebuild-seed stream)
-//   next_segment_uid u64  uid counter (replayed seals regenerate the same
-//                         file names, overwriting orphans byte-for-byte)
+//   next_segment_uid u64  uid counter (replayed seals and compactions
+//                         re-derive the same uids); no segment at or above
+//                         it has a file until the next checkpoint writes it
 //   wal_epoch       u64   which wal-<epoch>.vwal is live (checkpoints
 //                         rotate the WAL instead of truncating it, so a
 //                         crash between manifest commit and WAL cleanup

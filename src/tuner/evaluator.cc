@@ -176,9 +176,16 @@ EvalOutcome VdmsEvaluator::Evaluate(const TuningConfig& config) {
   }
 
   // Apply the search-time knobs this configuration requests, then replay
-  // through the typed request surface.
-  collection->UpdateSearchParams(config.index);
-  collection->OverrideRuntimeSystem(config.system);
+  // through the typed request surface. A refused knob change is a failed
+  // evaluation, never a replay under the previous knobs.
+  Status knobs = collection->UpdateSearchParams(config.index);
+  if (knobs.ok()) knobs = collection->OverrideRuntimeSystem(config.system);
+  if (!knobs.ok()) {
+    out.failed = true;
+    out.fail_reason = knobs.ToString();
+    if (!cached) DropCollection(key, &collection);
+    return out;
+  }
   ReplayResult replay =
       ReplayWorkload(*collection, *workload_, options_.replay);
 

@@ -210,16 +210,16 @@ Status Collection::SealShardGrowing(size_t shard_index) {
           shard.sealed.size() * 31 + 1);
   if (!st.ok()) return st;
   if (store_ != nullptr) {
-    // Durable before visible: the segment file lands atomically before the
-    // segment is published. The uid comes from a checkpointed counter, so a
-    // post-crash replay of this seal regenerates the same file in place.
+    // Durable through the WAL, filed at the next checkpoint: the record
+    // that caused this seal is already logged, and Flush writes the segment
+    // file with the overlay it is sealed with. The uid comes from a
+    // checkpointed counter, so a post-crash replay of this seal re-derives
+    // it.
     const uint64_t uid = store_->AllocateSegmentUid();
-    const std::vector<uint8_t>* bits = shard.growing_tombstones != nullptr
-                                           ? &shard.growing_tombstones->bits
-                                           : nullptr;
-    VDT_RETURN_IF_ERROR(
-        store_->WriteSegment(*segment, options_.metric, bits, uid));
     segment->set_storage_uid(uid);
+    if (shard.growing_tombstones != nullptr) {
+      seal_overlays_[uid] = shard.growing_tombstones;
+    }
   }
   shard.sealed.push_back(
       SegmentView{std::move(segment), shard.growing_tombstones});
@@ -241,12 +241,38 @@ Status Collection::Flush() {
     if (!shard_st.ok() && st.ok()) st = shard_st;
   }
   if (st.ok() && store_ != nullptr) {
-    // Everything is sealed (and its segment files written), so the WAL has
-    // nothing left to say: checkpoint the manifest and rotate it away.
-    st = store_->Checkpoint(BuildManifestLocked());
+    // Everything is sealed, so the WAL has nothing left to say: file the
+    // segments the new manifest names for the first time, then checkpoint
+    // the manifest and rotate the WAL away. A failed write leaves the old
+    // root in force and its segments pending for the next Flush.
+    st = WriteNewSegmentsLocked();
+    if (st.ok()) st = store_->Checkpoint(BuildManifestLocked());
+    if (st.ok()) seal_overlays_.clear();
   }
   Publish();
   return st;
+}
+
+Status Collection::WriteNewSegmentsLocked() {
+  // A segment replaced or dropped since the last checkpoint is never
+  // written: recovery garbage-collects unnamed files before replay, which
+  // rebuilds such segments from the WAL anyway.
+  const uint64_t first_new_uid = store_->manifest().next_segment_uid;
+  for (const ShardState& shard : shards_) {
+    for (const SegmentView& view : shard.sealed) {
+      const uint64_t uid = view.segment->storage_uid();
+      if (uid < first_new_uid) continue;
+      // A compaction's rewrite starts tombstone-free; a seal records the
+      // overlay it was sealed with. Deletes since then live in the manifest.
+      const auto overlay = seal_overlays_.find(uid);
+      const std::vector<uint8_t>* bits = overlay != seal_overlays_.end()
+                                             ? &overlay->second->bits
+                                             : nullptr;
+      VDT_RETURN_IF_ERROR(
+          store_->WriteSegment(*view.segment, options_.metric, bits, uid));
+    }
+  }
+  return Status::OK();
 }
 
 Status Collection::Delete(const std::vector<int64_t>& ids, size_t* deleted) {
@@ -392,13 +418,11 @@ Status Collection::CompactLocked(size_t* compacted) {
           options_.seed + 7919 * compactions_ + 13);
       if (!st.ok()) return st;
       if (store_ != nullptr) {
-        // A rewritten segment starts tombstone-free; the replaced file is
-        // GC'd at the next checkpoint, not here (in-flight snapshots and a
-        // pre-checkpoint crash both still need it).
-        const uint64_t uid = store_->AllocateSegmentUid();
-        VDT_RETURN_IF_ERROR(
-            store_->WriteSegment(*fresh, options_.metric, nullptr, uid));
-        fresh->set_storage_uid(uid);
+        // Only the uid is taken here; the next checkpoint files the rewrite
+        // if it is still live then. The replaced segment's file (if it has
+        // one) is GC'd by that checkpoint, not here: a pre-checkpoint crash
+        // still recovers from it.
+        fresh->set_storage_uid(store_->AllocateSegmentUid());
       }
       shard.sealed[i] = SegmentView{std::move(fresh), nullptr};
       ++i;
@@ -470,23 +494,18 @@ SearchResponse Collection::Search(const SearchRequest& request,
   return Snapshot()->Search(request, executor);
 }
 
-void Collection::UpdateSearchParams(const IndexParams& params) {
+Status Collection::UpdateSearchParams(const IndexParams& params) {
   // Indexes are immutable under snapshot isolation: the knobs live in the
   // snapshot and flow into every search as a per-call override, so no
   // segment state changes here.
   std::lock_guard<std::mutex> lock(mu_);
   if (store_ != nullptr) {
-    // Logged so post-restart searches run under the same knobs. The API is
-    // void, so an append failure (disk full) can only be surfaced here; the
-    // in-memory update still applies.
-    Status st = store_->LogSearchParams(params);
-    if (!st.ok()) {
-      VDT_LOG(kWarning) << "WAL append (search params) failed: "
-                        << st.message();
-    }
+    // Logged so post-restart searches run under the same knobs.
+    VDT_RETURN_IF_ERROR(store_->LogSearchParams(params));
   }
   options_.index.params = params;
   Publish();
+  return Status::OK();
 }
 
 void Collection::ApplyRuntimeSystemLocked(const SystemConfig& system) {
@@ -498,19 +517,16 @@ void Collection::ApplyRuntimeSystemLocked(const SystemConfig& system) {
   // creation) and the other layout knobs the build cache keys on.
 }
 
-void Collection::OverrideRuntimeSystem(const SystemConfig& system) {
+Status Collection::OverrideRuntimeSystem(const SystemConfig& system) {
   std::lock_guard<std::mutex> lock(mu_);
   if (store_ != nullptr) {
     // compaction_deleted_ratio changes which deletes trigger rewrites, so
     // replay must see the override at the same point in the history.
-    Status st = store_->LogSystemOverride(system);
-    if (!st.ok()) {
-      VDT_LOG(kWarning) << "WAL append (system override) failed: "
-                        << st.message();
-    }
+    VDT_RETURN_IF_ERROR(store_->LogSystemOverride(system));
   }
   ApplyRuntimeSystemLocked(system);
   Publish();
+  return Status::OK();
 }
 
 ManifestData Collection::BuildManifestLocked() const {
@@ -583,10 +599,12 @@ Result<std::shared_ptr<Collection>> Collection::Restore(
     }
   }
 
-  // Replay after the store is attached: replayed seals re-allocate the same
-  // uids (the counter was checkpointed) and regenerate orphan segment files
-  // byte-for-byte in place. Nothing re-logs — replay drives the Locked
-  // variants, and WAL appends live only in the public wrappers.
+  // Replay after the store is attached: replayed seals and compactions
+  // re-allocate the same uids (the counter was checkpointed) and rebuild
+  // their segments in memory only; the next checkpoint writes their files,
+  // byte-identical to what a crash-free run writes there. Nothing re-logs —
+  // replay drives the Locked variants, and WAL appends live only in the
+  // public wrappers.
   c.store_ = std::move(store);
   for (WalRecord& rec : c.store_->TakeWalRecords()) {
     Status st = Status::OK();

@@ -29,6 +29,7 @@
 #ifndef VDTUNER_VDMS_COLLECTION_H_
 #define VDTUNER_VDMS_COLLECTION_H_
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -100,10 +101,11 @@ class Collection {
   explicit Collection(CollectionOptions options);
 
   /// Makes this collection durable: mutations are write-ahead logged,
-  /// seal/compact write segment files, and Flush() checkpoints the manifest
-  /// (see storage/collection_store.h for the protocol). Attach only to a
-  /// freshly created, still-empty collection — pre-existing segments would
-  /// have no on-disk identity.
+  /// seal/compact give each new segment a uid, and Flush() writes the
+  /// segment files its manifest names for the first time, then checkpoints
+  /// the manifest (see storage/collection_store.h for the protocol). Attach
+  /// only to a freshly created, still-empty collection — pre-existing
+  /// segments would have no on-disk identity.
   void AttachStore(std::shared_ptr<CollectionStore> store);
 
   /// Rebuilds a collection from its opened store: mmap-loads the sealed
@@ -155,6 +157,10 @@ class Collection {
 
   /// Flushes every shard's insert buffer into its growing tier and seals
   /// every growing tier (end-of-ingest barrier, like Milvus flush+load).
+  /// On a durable collection this is the checkpoint: it writes every
+  /// segment file the new manifest names for the first time, then commits
+  /// the manifest. A failed write returns its error with the previous
+  /// checkpoint still in force; the next Flush writes what is left.
   Status Flush();
 
   /// The current published state. Searches against the returned snapshot
@@ -191,8 +197,10 @@ class Collection {
   /// Re-applies search-time index knobs (nprobe/ef/reorder_k) without
   /// rebuilding — used by the evaluator's build cache. Publishes a new
   /// snapshot; in-flight searches finish under the old knobs. For a
-  /// one-call override use SearchRequest::params instead.
-  void UpdateSearchParams(const IndexParams& params);
+  /// one-call override use SearchRequest::params instead. Write-ahead on a
+  /// durable collection: when the WAL refuses the record, nothing is
+  /// applied and the error is returned.
+  Status UpdateSearchParams(const IndexParams& params);
 
   /// Overrides the system knobs that do not affect the segment layout
   /// (graceful_time, max_read_concurrency, cache_ratio, and the compaction
@@ -200,7 +208,9 @@ class Collection {
   /// models read them from options(). Layout-affecting fields — including
   /// num_shards, which fixes the shard count at creation — are left
   /// untouched; callers guarantee they match (the build cache keys on them).
-  void OverrideRuntimeSystem(const SystemConfig& system);
+  /// Write-ahead like UpdateSearchParams: a refused WAL append applies
+  /// nothing.
+  Status OverrideRuntimeSystem(const SystemConfig& system);
 
   /// Snapshot-consistent statistics: always describes one published state
   /// (stored == live + tombstoned even mid-churn), including the per-shard
@@ -262,6 +272,10 @@ class Collection {
   /// The current sealed-segment layout as a manifest (checkpoint input).
   /// Only meaningful when buffers and growing tiers are empty (post-Flush).
   ManifestData BuildManifestLocked() const;
+  /// Writes, in shard then segment order, every sealed segment that has no
+  /// file yet: uids are monotone, so those are exactly the uids at or above
+  /// the last committed checkpoint's counter. Stops at the first failure.
+  Status WriteNewSegmentsLocked();
   /// Concatenates shard `shard_index`'s growing chunks into one sealed
   /// segment under an explicit id map and builds its index (no-op when that
   /// shard's growing tier is empty). The build seed folds in the shard
@@ -295,10 +309,16 @@ class Collection {
   size_t compactions_ = 0;
   std::vector<ShardState> shards_;
   /// Durability sink (null = in-memory collection). Mutation wrappers log
-  /// to its WAL before applying; SealShardGrowing/CompactLocked write
-  /// segment files through it; Flush checkpoints it. WAL replay drives the
-  /// *Locked variants directly, so nothing is re-logged during recovery.
+  /// to its WAL before applying; SealShardGrowing/CompactLocked allocate
+  /// segment uids from it; Flush writes the new segment files through it
+  /// and checkpoints it. WAL replay drives the *Locked variants directly, so
+  /// nothing is re-logged, and nothing is written, during recovery.
   std::shared_ptr<CollectionStore> store_;
+  /// The growing-tier overlay each seal since the last checkpoint started
+  /// from, by segment uid (seals with no tombstones are absent): Flush
+  /// writes it as the segment file's TOMB section. Cleared when a
+  /// checkpoint commits.
+  std::map<uint64_t, std::shared_ptr<const TombstoneOverlay>> seal_overlays_;
 };
 
 }  // namespace vdt

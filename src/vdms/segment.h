@@ -121,9 +121,10 @@ class Segment {
   const std::vector<int64_t>& ids() const { return ids_; }
 
   /// Storage identity: the uid of the on-disk segment file backing this
-  /// segment (0 = not persisted). Assigned once — at the atomic file write
-  /// during seal/compact, or at load — always before the segment is
-  /// published in a snapshot, so readers never observe it changing.
+  /// segment (0 = not persisted). Assigned once — during seal/compact (the
+  /// file itself is written by the next checkpoint), or at load — always
+  /// before the segment is published in a snapshot, so readers never
+  /// observe it changing.
   uint64_t storage_uid() const { return storage_uid_; }
   void set_storage_uid(uint64_t uid) { storage_uid_ = uid; }
 

@@ -1,7 +1,8 @@
 // Concurrency tests for the engine's snapshot read model: N searcher
 // threads run against live Insert/Delete/Compact/Flush/Drop traffic and
 // must always observe a valid published snapshot — k live rows, sorted,
-// never a row tombstoned before the search began, never freed memory.
+// never a row tombstoned before the search began, never freed memory. The
+// churn test also runs durable, where each Flush writes segment files.
 // This suite runs under the ASan/UBSan and TSan CI jobs; the sanitizers
 // are the real assertions for the lifetime and data-race claims.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@ namespace vdt {
 namespace {
 
 using testing_util::RandomMatrix;
+using testing_util::TempDir;
 
 constexpr size_t kDim = 8;
 
@@ -58,11 +60,19 @@ void ValidateHits(const std::vector<Neighbor>& hits, size_t k,
   }
 }
 
-TEST(EngineConcurrencyTest, SearchersSurviveInsertDeleteCompactFlush) {
+/// Runs in memory and durable: on a durable engine every Flush is a
+/// checkpoint that encodes and writes the segments the searchers are
+/// scanning.
+class ChurnConcurrencyTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ChurnConcurrencyTest, SearchersSurviveInsertDeleteCompactFlush) {
   const size_t kRows = 600;
   const size_t kK = 5;
   const FloatMatrix data = RandomMatrix(kRows, kDim, 91);
-  VdmsEngine engine;
+  TempDir td;
+  VdmsEngineOptions eopts;
+  if (GetParam()) eopts.data_dir = td.path();
+  VdmsEngine engine(eopts);
   ASSERT_TRUE(engine.CreateCollection(ChurnyOptions("churn", kRows)).ok());
   ASSERT_TRUE(engine.Insert("churn", data.Slice(0, kRows / 2)).ok());
   ASSERT_TRUE(engine.Flush("churn").ok());
@@ -117,6 +127,12 @@ TEST(EngineConcurrencyTest, SearchersSurviveInsertDeleteCompactFlush) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->total_rows, kRows);
 }
+
+INSTANTIATE_TEST_SUITE_P(Storage, ChurnConcurrencyTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Durable" : "InMemory";
+                         });
 
 TEST(EngineConcurrencyTest, RowsTombstonedBeforeTheSearchNeverSurface) {
   const size_t kRows = 500;

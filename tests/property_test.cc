@@ -383,11 +383,11 @@ size_t CompactNow(Collection* coll) {
   SystemConfig sys = coll->options().system;
   const double trigger = sys.compaction_deleted_ratio;
   sys.compaction_deleted_ratio = 0.0;
-  coll->OverrideRuntimeSystem(sys);
+  EXPECT_TRUE(coll->OverrideRuntimeSystem(sys).ok());
   size_t compacted = 0;
   EXPECT_TRUE(coll->Compact(&compacted).ok());
   sys.compaction_deleted_ratio = trigger;
-  coll->OverrideRuntimeSystem(sys);
+  EXPECT_TRUE(coll->OverrideRuntimeSystem(sys).ok());
   return compacted;
 }
 

@@ -1,10 +1,12 @@
 // Persistence subsystem tests: restart parity (a collection sealed, flushed,
 // mutated through the WAL, then reopened must return bit-identical Search
 // and Stats to the never-restarted collection — for every index family and
-// across a compaction boundary; replayed filtered compactions regenerate
-// byte-identical segment files), kill-style crash recovery against the
-// brute-force live-set oracle, engine data-dir handling, and typed refusal
-// of foreign/corrupt on-disk state.
+// across a compaction boundary; after replayed filtered compactions the
+// next checkpoint writes byte-identical segment files), the checkpoint
+// write protocol (segment files are written only by the checkpoint that
+// first names them; a failed write or WAL append changes nothing),
+// kill-style crash recovery against the brute-force live-set oracle, engine
+// data-dir handling, and typed refusal of foreign/corrupt on-disk state.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,6 +19,7 @@
 
 #include "storage/collection_store.h"
 #include "storage/file_io.h"
+#include "storage/manifest.h"
 #include "tests/test_util.h"
 #include "vdms/vdms.h"
 
@@ -24,22 +27,9 @@ namespace vdt {
 namespace {
 
 using testing_util::ClusteredMatrix;
+using testing_util::FileSizeLimitGuard;
 using testing_util::RandomMatrix;
-
-/// A scratch directory removed on scope exit.
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/vdt_storage_test_XXXXXX";
-    path_ = mkdtemp(tmpl);
-    EXPECT_FALSE(path_.empty());
-  }
-  ~TempDir() { (void)RemoveDirRecursive(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using testing_util::TempDir;
 
 CollectionOptions ChurnOptions(IndexType type, size_t actual_rows,
                                uint64_t seed) {
@@ -193,9 +183,10 @@ class FilteredCompactionRestartTest
 // deletes over the oldest rows compacts each shard's first segment once
 // before a checkpoint and twice more in the WAL tail, so replay filters an
 // index restored from its segment file, then filters that copy again. The
-// segment files the tail wrote are removed before reopening (a crash that
-// lost them after their WAL records were durable): replay must regenerate
-// each one byte for byte, and searches must stay bit-identical.
+// crashed engine leaves the tail only in its WAL (segment files are written
+// at checkpoints), so after recovery searches and stats must be
+// bit-identical, and the first checkpoint must write the same segment files
+// as a crash-free engine's checkpoint at the same point in the history.
 TEST_P(FilteredCompactionRestartTest, ReplayRegeneratesIdenticalFiles) {
   const IndexType type = GetParam();
   const size_t n = 900, dim = 16, k = 10;
@@ -207,29 +198,51 @@ TEST_P(FilteredCompactionRestartTest, ReplayRegeneratesIdenticalFiles) {
     for (int64_t id = begin; id < end; ++id) ids.push_back(id);
     return ids;
   };
-
-  TempDir td;
-  VdmsEngineOptions eopts;
-  eopts.data_dir = td.path();
-  const std::string dir = td.path() + "/c";
-
-  std::vector<std::vector<Neighbor>> expected;
-  CollectionStats expected_stats;
-  std::map<std::string, std::vector<uint8_t>> checkpointed, tail_files;
-  {
-    VdmsEngine engine(eopts);
+  // Two checkpoints, then a WAL tail: two more windows around a batch of
+  // inserts (which seal new segments inline).
+  std::map<std::string, std::vector<uint8_t>> checkpointed;
+  auto run_history = [&](VdmsEngine& engine, const std::string& dir) {
     ASSERT_TRUE(engine.CreateCollection(ChurnOptions(type, n, seed)).ok());
     ASSERT_TRUE(engine.Insert("c", data.Slice(0, 600)).ok());
     ASSERT_TRUE(engine.Flush("c").ok());
     ASSERT_TRUE(engine.Delete("c", window(0, 80)).ok());
     ASSERT_TRUE(engine.Flush("c").ok());
     checkpointed = SegmentFiles(dir);
-    // WAL tail: two more windows around a batch of inserts (which seal
-    // new segments inline).
     ASSERT_TRUE(engine.Delete("c", window(80, 140)).ok());
     ASSERT_TRUE(engine.Insert("c", data.Slice(600, 900)).ok());
     ASSERT_TRUE(engine.Delete("c", window(140, 185)).ok());
+  };
 
+  // The crash-free reference: the same history, then the checkpoint.
+  TempDir reference_td;
+  VdmsEngineOptions reference_opts;
+  reference_opts.data_dir = reference_td.path();
+  const std::string reference_dir = reference_td.path() + "/c";
+  std::map<std::string, std::vector<uint8_t>> reference_files;
+  {
+    VdmsEngine engine(reference_opts);
+    run_history(engine, reference_dir);
+    if (HasFatalFailure()) return;
+    ASSERT_TRUE(engine.Flush("c").ok());
+    reference_files = SegmentFiles(reference_dir);
+  }
+  size_t written_by_checkpoint = 0;
+  for (const auto& [name, bytes] : reference_files) {
+    written_by_checkpoint += checkpointed.count(name) == 0 ? 1 : 0;
+  }
+  ASSERT_GT(written_by_checkpoint, 0u)
+      << "the WAL tail no longer leaves segments for the checkpoint to write";
+
+  TempDir td;
+  VdmsEngineOptions eopts;
+  eopts.data_dir = td.path();
+  const std::string dir = td.path() + "/c";
+  std::vector<std::vector<Neighbor>> expected;
+  CollectionStats expected_stats;
+  {
+    VdmsEngine engine(eopts);
+    run_history(engine, dir);
+    if (HasFatalFailure()) return;
     auto handle = engine.Open("c");
     ASSERT_TRUE(handle.ok());
     expected_stats = (*handle)->Stats();
@@ -242,24 +255,250 @@ TEST_P(FilteredCompactionRestartTest, ReplayRegeneratesIdenticalFiles) {
     for (size_t q = 0; q < queries.rows(); ++q) {
       expected.push_back((*handle)->Search(queries.Row(q), k, nullptr));
     }
-  }
-  for (auto& [name, bytes] : SegmentFiles(dir)) {
-    if (checkpointed.count(name) != 0) continue;
-    ASSERT_TRUE(RemoveFileIfExists(dir + "/" + name).ok()) << name;
-    tail_files[name] = std::move(bytes);
-  }
-  ASSERT_FALSE(tail_files.empty());
+  }  // crashed: the tail lives only in the WAL
 
   VdmsEngine reopened(eopts);
   ASSERT_TRUE(reopened.Open().ok());
   auto handle = reopened.Open("c");
   ASSERT_TRUE(handle.ok());
-  const auto regenerated = SegmentFiles(dir);
-  for (const auto& [name, bytes] : tail_files) {
-    const auto it = regenerated.find(name);
-    ASSERT_NE(it, regenerated.end()) << name << " was not regenerated";
+  ExpectStatsEqual((*handle)->Stats(), expected_stats);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    const auto got = (*handle)->Search(queries.Row(q), k, nullptr);
+    ASSERT_EQ(got.size(), expected[q].size()) << "query " << q;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, expected[q][i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(got[i].distance, expected[q][i].distance)
+          << "query " << q << " rank " << i;
+    }
+  }
+  ASSERT_TRUE(reopened.Flush("c").ok());
+  const auto written = SegmentFiles(dir);
+  for (const auto& [name, bytes] : reference_files) {
+    const auto it = written.find(name);
+    ASSERT_NE(it, written.end()) << name << " was not written after replay";
     EXPECT_TRUE(it->second == bytes) << name << " differs after replay";
   }
+  EXPECT_EQ(written.size(), reference_files.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(KMeansFamily, FilteredCompactionRestartTest,
+                         ::testing::Values(IndexType::kIvfFlat,
+                                           IndexType::kIvfPq));
+
+// ------------------------------------------ checkpoint write protocol
+
+/// The segment uids the collection's committed MANIFEST names.
+std::set<uint64_t> ManifestUids(const std::string& dir) {
+  std::set<uint64_t> uids;
+  auto bytes = ReadFileBytes(dir + "/MANIFEST");
+  EXPECT_TRUE(bytes.ok());
+  if (!bytes.ok()) return uids;
+  auto manifest = DecodeManifest(bytes->data(), bytes->size());
+  EXPECT_TRUE(manifest.ok());
+  if (!manifest.ok()) return uids;
+  for (const auto& shard : manifest->shards) {
+    for (const ManifestSegment& seg : shard) uids.insert(seg.uid);
+  }
+  return uids;
+}
+
+std::string SegmentName(uint64_t uid) {
+  return "seg-" + std::to_string(uid) + ".vseg";
+}
+
+// Segment files are written by the checkpoint that first names them, never
+// at seal or compaction time: a window of deletes that compacts a shard's
+// first segment three times leaves the directory's segment files untouched
+// until the next Flush, which writes exactly the segments its manifest
+// names. The intermediate rewrites never get a file.
+TEST(CheckpointWriteTest, SegmentFilesAreWrittenOnlyByTheCheckpoint) {
+  const size_t n = 600, dim = 16;
+  const uint64_t seed = 79;
+  const FloatMatrix data = ClusteredMatrix(n, dim, 10, 0.3, seed);
+  TempDir td;
+  VdmsEngineOptions eopts;
+  eopts.data_dir = td.path();
+  const std::string dir = td.path() + "/c";
+
+  VdmsEngine engine(eopts);
+  ASSERT_TRUE(
+      engine.CreateCollection(ChurnOptions(IndexType::kIvfFlat, n, seed)).ok());
+  ASSERT_TRUE(engine.Insert("c", data).ok());
+  ASSERT_TRUE(engine.Flush("c").ok());
+  const auto checkpointed = SegmentFiles(dir);
+  ASSERT_FALSE(checkpointed.empty());
+  auto handle = engine.Open("c");
+  ASSERT_TRUE(handle.ok());
+
+  // Every uid shard 0's first segment takes, oldest first.
+  std::vector<uint64_t> first_uids = {
+      (*handle)->Snapshot()->shards[0].sealed.front().segment->storage_uid()};
+  std::set<uint64_t> seen_uids;
+  for (int64_t begin = 0; begin < 200; begin += 20) {
+    std::vector<int64_t> ids;
+    for (int64_t id = begin; id < begin + 20; ++id) ids.push_back(id);
+    ASSERT_TRUE(engine.Delete("c", ids).ok());
+    for (const ShardView& shard : (*handle)->Snapshot()->shards) {
+      for (const SegmentView& view : shard.sealed) {
+        seen_uids.insert(view.segment->storage_uid());
+      }
+    }
+    const uint64_t uid =
+        (*handle)->Snapshot()->shards[0].sealed.front().segment->storage_uid();
+    if (uid != first_uids.back()) first_uids.push_back(uid);
+    // Byte for byte: no file appears, changes, or goes away.
+    EXPECT_TRUE(SegmentFiles(dir) == checkpointed)
+        << "segment files changed before the checkpoint (window " << begin
+        << ")";
+  }
+  ASSERT_GE(first_uids.size(), 4u)
+      << "the delete window no longer compacts the first segment 3 times";
+
+  ASSERT_TRUE(engine.Flush("c").ok());
+  const std::set<uint64_t> named = ManifestUids(dir);
+  std::set<std::string> expected_names;
+  for (const uint64_t uid : named) expected_names.insert(SegmentName(uid));
+  std::set<std::string> names;
+  for (const auto& [name, bytes] : SegmentFiles(dir)) names.insert(name);
+  EXPECT_EQ(names, expected_names);
+  size_t intermediate = 0;
+  for (const uint64_t uid : seen_uids) {
+    if (named.count(uid) != 0) continue;
+    ++intermediate;
+    EXPECT_FALSE(PathExists(dir + "/" + SegmentName(uid)))
+        << "a file exists for replaced segment " << uid;
+  }
+  EXPECT_GE(intermediate, 2u);
+}
+
+// The checkpoint writes a sealed segment with the tombstones it was sealed
+// with (the growing overlay at seal time), not the deletes that landed on
+// it afterwards — those live in the manifest's bitmap. These are the bytes
+// a write at seal time recorded.
+TEST(CheckpointWriteTest, SegmentFileRecordsTheSealTimeOverlay) {
+  const size_t n = 300, dim = 16;
+  const uint64_t seed = 81;
+  const FloatMatrix data = ClusteredMatrix(n, dim, 10, 0.3, seed);
+  TempDir td;
+  VdmsEngineOptions eopts;
+  eopts.data_dir = td.path();
+  const std::string dir = td.path() + "/c";
+
+  VdmsEngine engine(eopts);
+  // Laid out for 900 rows (~135-row segments, ~36-row buffers): the first
+  // 100 rows stay in the growing tier, the next 200 seal one per shard.
+  ASSERT_TRUE(
+      engine.CreateCollection(ChurnOptions(IndexType::kIvfFlat, 900, seed))
+          .ok());
+  const std::set<int64_t> before_seal = {1, 5, 9};
+  const std::set<int64_t> after_seal = {20, 30};
+  ASSERT_TRUE(engine.Insert("c", data.Slice(0, 100)).ok());
+  auto handle = engine.Open("c");
+  ASSERT_TRUE(handle.ok());
+  ASSERT_EQ((*handle)->Stats().num_sealed_segments, 0u);
+  ASSERT_TRUE(engine.Delete("c", {1, 5, 9}).ok());
+  ASSERT_TRUE(engine.Insert("c", data.Slice(100, n)).ok());
+  for (const int64_t id : after_seal) {
+    bool sealed = false;
+    for (const ShardView& shard : (*handle)->Snapshot()->shards) {
+      for (const SegmentView& view : shard.sealed) {
+        sealed = sealed || view.segment->LocalOf(id) >= 0;
+      }
+    }
+    ASSERT_TRUE(sealed) << "id " << id << " is not sealed yet";
+  }
+  size_t deleted = 0;
+  ASSERT_TRUE(engine.Delete("c", {20, 30}, &deleted).ok());
+  ASSERT_EQ(deleted, 2u);
+  ASSERT_TRUE(engine.Flush("c").ok());
+
+  size_t recorded = 0, live_after_seal = 0;
+  for (const auto& [name, bytes] : SegmentFiles(dir)) {
+    auto loaded = LoadSegmentFile(dir + "/" + name, Metric::kAngular);
+    ASSERT_TRUE(loaded.ok()) << name;
+    const Segment& segment = *loaded->segment;
+    for (size_t r = 0; r < segment.rows(); ++r) {
+      const int64_t id = segment.IdAt(r);
+      const bool bit = !loaded->tombstones.empty() && loaded->tombstones[r];
+      EXPECT_EQ(bit, before_seal.count(id) != 0) << name << " id " << id;
+      recorded += bit ? 1 : 0;
+      live_after_seal += after_seal.count(id);
+    }
+  }
+  EXPECT_EQ(recorded, before_seal.size());
+  EXPECT_EQ(live_after_seal, after_seal.size());
+}
+
+// A checkpoint whose segment write fails (here: the file-size limit, a
+// disk-full stand-in) returns that error before the manifest is touched, so
+// the previous root stays in force. The next Flush writes what is pending,
+// and a reopened engine serves bit-identical results.
+TEST(CheckpointWriteTest, FailedSegmentWriteKeepsTheOldRoot) {
+  const size_t n = 900, dim = 16, k = 10;
+  const uint64_t seed = 80;
+  const FloatMatrix data = ClusteredMatrix(n, dim, 10, 0.3, seed);
+  const FloatMatrix queries = ClusteredMatrix(12, dim, 10, 0.33, seed ^ 0x9);
+  TempDir td;
+  VdmsEngineOptions eopts;
+  eopts.data_dir = td.path();
+  const std::string dir = td.path() + "/c";
+
+  std::vector<std::vector<Neighbor>> expected;
+  CollectionStats expected_stats;
+  {
+    VdmsEngine engine(eopts);
+    ASSERT_TRUE(
+        engine.CreateCollection(ChurnOptions(IndexType::kIvfFlat, n, seed))
+            .ok());
+    ASSERT_TRUE(engine.Insert("c", data.Slice(0, 600)).ok());
+    ASSERT_TRUE(engine.Flush("c").ok());
+    std::vector<int64_t> doomed;
+    for (int64_t id = 0; id < 100; ++id) doomed.push_back(id);
+    ASSERT_TRUE(engine.Delete("c", doomed).ok());
+    ASSERT_TRUE(engine.Insert("c", data.Slice(600, 900)).ok());
+    const auto manifest = ReadFileBytes(dir + "/MANIFEST");
+    ASSERT_TRUE(manifest.ok());
+    const auto files = ListDir(dir);
+    ASSERT_TRUE(files.ok());
+
+    Status refused;
+    {
+      // Every segment file here is larger than 1 KiB.
+      FileSizeLimitGuard guard(1024);
+      ASSERT_TRUE(guard.active());
+      refused = engine.Flush("c");
+    }
+    EXPECT_FALSE(refused.ok());
+    EXPECT_NE(refused.message().find("File too large"), std::string::npos)
+        << refused.ToString();
+    const auto manifest_after = ReadFileBytes(dir + "/MANIFEST");
+    ASSERT_TRUE(manifest_after.ok());
+    EXPECT_TRUE(*manifest_after == *manifest) << "the manifest moved";
+    const auto files_after = ListDir(dir);
+    ASSERT_TRUE(files_after.ok());
+    EXPECT_EQ(*files_after, *files) << "a file was left behind";
+
+    ASSERT_TRUE(engine.Flush("c").ok());
+    std::set<std::string> names;
+    for (const auto& [name, bytes] : SegmentFiles(dir)) names.insert(name);
+    std::set<std::string> expected_names;
+    for (const uint64_t uid : ManifestUids(dir)) {
+      expected_names.insert(SegmentName(uid));
+    }
+    EXPECT_EQ(names, expected_names);
+    auto handle = engine.Open("c");
+    ASSERT_TRUE(handle.ok());
+    expected_stats = (*handle)->Stats();
+    ASSERT_GT(expected_stats.num_compactions, 0u);
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      expected.push_back((*handle)->Search(queries.Row(q), k, nullptr));
+    }
+  }
+
+  VdmsEngine reopened(eopts);
+  ASSERT_TRUE(reopened.Open().ok());
+  auto handle = reopened.Open("c");
+  ASSERT_TRUE(handle.ok());
   ExpectStatsEqual((*handle)->Stats(), expected_stats);
   for (size_t q = 0; q < queries.rows(); ++q) {
     const auto got = (*handle)->Search(queries.Row(q), k, nullptr);
@@ -272,9 +511,55 @@ TEST_P(FilteredCompactionRestartTest, ReplayRegeneratesIdenticalFiles) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(KMeansFamily, FilteredCompactionRestartTest,
-                         ::testing::Values(IndexType::kIvfFlat,
-                                           IndexType::kIvfPq));
+// Write-ahead for the knob mutators: when the WAL refuses the record, the
+// change is neither applied nor published, and a restart does not bring it
+// back.
+TEST(CheckpointWriteTest, RefusedKnobChangeIsNotApplied) {
+  const size_t n = 500, dim = 12;
+  const FloatMatrix data = ClusteredMatrix(n, dim, 8, 0.3, 5);
+  TempDir td;
+  VdmsEngineOptions eopts;
+  eopts.data_dir = td.path();
+  const CollectionOptions opts = ChurnOptions(IndexType::kIvfFlat, n, 5);
+  {
+    VdmsEngine engine(eopts);
+    ASSERT_TRUE(engine.CreateCollection(opts).ok());
+    // Not flushed: the WAL already holds the rows, far beyond the limit
+    // below, so any further append fails whole.
+    ASSERT_TRUE(engine.Insert("c", data).ok());
+    auto handle = engine.Open("c");
+    ASSERT_TRUE(handle.ok());
+    IndexParams tightened = opts.index.params;
+    tightened.nprobe = 2;
+    SystemConfig sys = opts.system;
+    sys.compaction_deleted_ratio = 0.9;
+    Status params_st, system_st;
+    {
+      FileSizeLimitGuard guard(4096);
+      ASSERT_TRUE(guard.active());
+      params_st = (*handle)->UpdateSearchParams(tightened);
+      system_st = (*handle)->OverrideRuntimeSystem(sys);
+    }
+    EXPECT_FALSE(params_st.ok());
+    EXPECT_FALSE(system_st.ok());
+    const auto snap = (*handle)->Snapshot();
+    EXPECT_EQ(snap->params.nprobe, opts.index.params.nprobe);
+    EXPECT_DOUBLE_EQ(snap->system.compaction_deleted_ratio,
+                     opts.system.compaction_deleted_ratio);
+    EXPECT_EQ((*handle)->options().index.params.nprobe,
+              opts.index.params.nprobe);
+  }
+
+  VdmsEngine reopened(eopts);
+  ASSERT_TRUE(reopened.Open().ok());
+  auto handle = reopened.Open("c");
+  ASSERT_TRUE(handle.ok());
+  EXPECT_EQ((*handle)->Stats().live_rows, n);
+  const auto snap = (*handle)->Snapshot();
+  EXPECT_EQ(snap->params.nprobe, opts.index.params.nprobe);
+  EXPECT_DOUBLE_EQ(snap->system.compaction_deleted_ratio,
+                   opts.system.compaction_deleted_ratio);
+}
 
 // Knob updates (search params, runtime system overrides) land in the WAL,
 // so a reopened collection searches under the same knobs it crashed with.
@@ -299,10 +584,10 @@ TEST(StorageTest, KnobChangesSurviveRestart) {
     ASSERT_TRUE(handle.ok());
     tightened = (*handle)->options().index.params;
     tightened.nprobe = 2;  // deliberately lossy: results must still match
-    (*handle)->UpdateSearchParams(tightened);
+    ASSERT_TRUE((*handle)->UpdateSearchParams(tightened).ok());
     SystemConfig sys = (*handle)->options().system;
     sys.compaction_deleted_ratio = 0.9;
-    (*handle)->OverrideRuntimeSystem(sys);
+    ASSERT_TRUE((*handle)->OverrideRuntimeSystem(sys).ok());
     for (size_t q = 0; q < queries.rows(); ++q) {
       expected.push_back((*handle)->Search(queries.Row(q), k, nullptr));
     }
@@ -407,7 +692,9 @@ TEST(StorageTest, KillStyleChurnRecoveryMatchesOracle) {
       }
       // One mid-stream checkpoint, so recovery exercises manifest-sealed
       // state *and* a WAL tail on top of it.
-      if (++steps == 3) ASSERT_TRUE(engine.Flush("c").ok());
+      if (++steps == 3) {
+        ASSERT_TRUE(engine.Flush("c").ok());
+      }
     }
   }  // killed: no final Flush, WAL tail outstanding
 

@@ -2,12 +2,19 @@
 #ifndef VDTUNER_TESTS_TEST_UTIL_H_
 #define VDTUNER_TESTS_TEST_UTIL_H_
 
+#include <signal.h>
+#include <stdlib.h>
+#include <sys/resource.h>
+
+#include <gtest/gtest.h>
+
 #include <string>
 
 #include "common/float_matrix.h"
 #include "common/random.h"
 #include "index/distance.h"
 #include "index/kernels/kernels.h"
+#include "storage/file_io.h"
 
 namespace vdt {
 namespace testing_util {
@@ -55,6 +62,63 @@ class BackendGuard {
 
  private:
   std::string saved_;
+};
+
+/// A scratch directory under /tmp, removed (recursively) on scope exit.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/vdt_test_XXXXXX";
+    const char* made = mkdtemp(tmpl);
+    EXPECT_NE(made, nullptr) << "mkdtemp failed";
+    if (made != nullptr) path_ = made;
+  }
+  ~TempDir() { (void)RemoveDirRecursive(path_); }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// A disk-full stand-in: lowers this process's file-size limit (the
+/// RLIMIT_FSIZE soft limit) to `max_bytes` and ignores SIGXFSZ, so a write
+/// that would grow any file past the limit fails with EFBIG ("File too
+/// large") instead of killing the process. Restores both on scope exit.
+/// Keep the guarded scope free of output: stdout redirected to a file is
+/// subject to the limit too.
+class FileSizeLimitGuard {
+ public:
+  explicit FileSizeLimitGuard(rlim_t max_bytes) {
+    struct sigaction ignore = {};
+    ignore.sa_handler = SIG_IGN;
+    sigemptyset(&ignore.sa_mask);
+    if (getrlimit(RLIMIT_FSIZE, &saved_limit_) != 0 ||
+        sigaction(SIGXFSZ, &ignore, &saved_action_) != 0) {
+      return;
+    }
+    signal_saved_ = true;
+    rlimit lowered = saved_limit_;
+    lowered.rlim_cur = max_bytes;
+    active_ = setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~FileSizeLimitGuard() {
+    if (active_) setrlimit(RLIMIT_FSIZE, &saved_limit_);
+    if (signal_saved_) sigaction(SIGXFSZ, &saved_action_, nullptr);
+  }
+  FileSizeLimitGuard(const FileSizeLimitGuard&) = delete;
+  FileSizeLimitGuard& operator=(const FileSizeLimitGuard&) = delete;
+
+  /// False when the limit could not be lowered (nothing is in effect).
+  bool active() const { return active_; }
+
+ private:
+  rlimit saved_limit_ = {};
+  struct sigaction saved_action_ = {};
+  bool signal_saved_ = false;
+  bool active_ = false;
 };
 
 }  // namespace testing_util

@@ -193,13 +193,13 @@ TEST(CollectionTest, WorkDecreasesWithFewerProbes) {
 
   IndexParams wide = opts.index.params;
   wide.nprobe = 32;
-  coll.UpdateSearchParams(wide);
+  ASSERT_TRUE(coll.UpdateSearchParams(wide).ok());
   WorkCounters wide_wc;
   coll.Search(data.Row(0), 10, &wide_wc);
 
   IndexParams narrow = opts.index.params;
   narrow.nprobe = 2;
-  coll.UpdateSearchParams(narrow);
+  ASSERT_TRUE(coll.UpdateSearchParams(narrow).ok());
   WorkCounters narrow_wc;
   coll.Search(data.Row(0), 10, &narrow_wc);
 
