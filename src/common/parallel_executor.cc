@@ -11,9 +11,10 @@
 namespace vdt {
 namespace {
 
-// True while the current thread is executing a ParallelExecutor task; nested
-// ParallelFor calls from such a thread run inline (submitting to the pool and
-// blocking on it from one of its own workers would deadlock).
+// True while the current thread runs items of a parallel call (as a pool
+// worker, or as a caller draining its own ParallelForOrInline); nested calls
+// from such a thread run inline (submitting to the pool and blocking on it
+// from one of its own workers would deadlock).
 thread_local bool tl_in_executor_task = false;
 
 size_t DefaultThreads() {
@@ -21,6 +22,39 @@ size_t DefaultThreads() {
   if (env > 0) return static_cast<size_t>(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<size_t>(hw) : 1;
+}
+
+// One call's state, shared with its pool tasks (not ThreadPool::Wait, so
+// concurrent calls from different caller threads do not block on each
+// other's tasks). A task may start after the call has returned, so it holds
+// the state by shared_ptr and dereferences `fn` only for an item it claimed.
+struct CallState {
+  CallState(size_t n, const std::function<void(size_t)>* fn) : n(n), fn(fn) {}
+
+  const size_t n;
+  const std::function<void(size_t)>* const fn;
+  std::atomic<size_t> next{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  size_t done = 0;  // items finished; guarded by mu
+};
+
+// The one drain loop: claims items from the shared counter until none are
+// left, then reports how many this thread ran.
+void Drain(CallState& state) {
+  tl_in_executor_task = true;
+  size_t ran = 0;
+  for (;;) {
+    const size_t i = state.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= state.n) break;
+    (*state.fn)(i);
+    ++ran;
+  }
+  tl_in_executor_task = false;
+  if (ran == 0) return;
+  std::lock_guard<std::mutex> lock(state.mu);
+  state.done += ran;
+  if (state.done == state.n) state.done_cv.notify_all();
 }
 
 }  // namespace
@@ -33,48 +67,26 @@ ParallelExecutor::~ParallelExecutor() = default;
 
 size_t ParallelExecutor::num_threads() const { return pool_->num_threads(); }
 
-void ParallelExecutor::RunInline(size_t n,
-                                 const std::function<void(size_t)>& fn) {
-  for (size_t i = 0; i < n; ++i) fn(i);
+void ParallelExecutor::Join(size_t n, const std::function<void(size_t)>& fn,
+                            bool caller_drains) {
+  if (n < 2 || num_threads() == 1 || tl_in_executor_task) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  auto state = std::make_shared<CallState>(n, &fn);
+  // The caller, when it drains, is one of the call's `width` threads.
+  const size_t width = std::min(n, num_threads());
+  for (size_t t = caller_drains ? 1 : 0; t < width; ++t) {
+    pool_->Submit([state] { Drain(*state); });
+  }
+  if (caller_drains) Drain(*state);
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->done_cv.wait(lock, [&state] { return state->done == state->n; });
 }
 
 void ParallelExecutor::ParallelFor(size_t n,
                                    const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1 || num_threads() == 1 || tl_in_executor_task) {
-    RunInline(n, fn);
-    return;
-  }
-
-  // Per-call completion state (not ThreadPool::Wait) so concurrent
-  // ParallelFor calls from different caller threads do not block on each
-  // other's tasks. Workers pull item indices from a shared counter.
-  struct CallState {
-    std::atomic<size_t> next{0};
-    std::mutex mu;
-    std::condition_variable done_cv;
-    size_t live_chunks = 0;
-  };
-  auto state = std::make_shared<CallState>();
-  const size_t chunks = std::min(n, num_threads());
-  state->live_chunks = chunks;
-
-  for (size_t c = 0; c < chunks; ++c) {
-    pool_->Submit([state, n, &fn] {
-      tl_in_executor_task = true;
-      for (;;) {
-        const size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        fn(i);
-      }
-      tl_in_executor_task = false;
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (--state->live_chunks == 0) state->done_cv.notify_all();
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&state] { return state->live_chunks == 0; });
+  Join(n, fn, /*caller_drains=*/false);
 }
 
 ParallelExecutor& ParallelExecutor::Global() {
@@ -105,7 +117,7 @@ void ParallelForOrInline(ParallelExecutor* executor, size_t n,
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  executor->ParallelFor(n, fn);
+  executor->Join(n, fn, /*caller_drains=*/true);
 }
 
 }  // namespace vdt

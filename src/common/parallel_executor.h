@@ -30,7 +30,10 @@ class ParallelExecutor {
 
   /// Executes fn(i) for every i in [0, n); returns after all complete.
   /// `fn` must not throw. Items may run in any order and concurrently —
-  /// callers that need ordered output should write into slot i.
+  /// callers that need ordered output should write into slot i. Unless the
+  /// call runs inline (n < 2, width 1, or a nested call), items run only on
+  /// pool threads and the caller sleeps until they are done (see
+  /// ParallelForOrInline for why this join, unlike that one, parks it).
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   size_t num_threads() const;
@@ -40,7 +43,15 @@ class ParallelExecutor {
   static ParallelExecutor& Global();
 
  private:
-  void RunInline(size_t n, const std::function<void(size_t)>& fn);
+  friend void ParallelForOrInline(ParallelExecutor* executor, size_t n,
+                                  const std::function<void(size_t)>& fn);
+
+  /// The one join behind both entry points. Runs inline when n < 2, at
+  /// width 1, or from a thread already running items of a call. Otherwise
+  /// min(n, width) threads claim items from one shared counter: pool tasks
+  /// only, or the caller plus one task fewer when `caller_drains`.
+  void Join(size_t n, const std::function<void(size_t)>& fn,
+            bool caller_drains);
 
   std::unique_ptr<ThreadPool> pool_;
 };
@@ -57,9 +68,25 @@ void ParallelChunks(ParallelExecutor* executor, size_t n, size_t chunk_size,
                     const std::function<void(size_t, size_t, size_t)>& fn);
 
 /// Runs fn(i) for i in [0, n): inline in index order when `executor` is
-/// null, sharded one-per-task across it otherwise. The shared dispatch
-/// behind every optionally-parallel build pass whose items are independent
-/// (per-list encodes, per-subspace codebooks, per-node candidate searches).
+/// null, across the executor otherwise. The shared dispatch behind every
+/// optionally-parallel build pass whose items are independent (per-list
+/// encodes, per-subspace codebooks, per-node candidate searches).
+///
+/// The calling thread runs items too: it claims them from the same counter
+/// as min(n, width) - 1 pool tasks, so a call never has more than `width`
+/// threads on its items and makes progress even when every pool thread is
+/// busy. A task that starts after every item is claimed returns without
+/// calling `fn`; the call returns once every claimed item is done. Nested
+/// calls from any of its threads, the caller included, run inline. A build
+/// that dispatches many short passes (HNSW's 16-node batches) thus stops
+/// paying a sleep and a wake-up per pass on its critical path.
+///
+/// ParallelFor and ParallelChunks keep parking their caller. ParallelFor
+/// runs the serving scatter, SearchBatch, replay and ground truth; letting
+/// its caller join slowed the writer of a churn benchmark run (2 CPUs)
+/// beside its reader in every measured pair. ParallelChunks (k-means, SQ8
+/// ranges) runs beside the same reader during checkpoints, and its caller
+/// joining gave no conclusive result there.
 void ParallelForOrInline(ParallelExecutor* executor, size_t n,
                          const std::function<void(size_t)>& fn);
 

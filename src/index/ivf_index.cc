@@ -261,7 +261,8 @@ Status IvfPqIndex::EncodeLists(const FloatMatrix& data,
   // Train one codebook per subspace, one task per subspace: each writes a
   // disjoint codebook slice and a disjoint stride of assign_all, and seeds
   // are per-subspace, so the result never depends on scheduling. The nested
-  // KMeansCluster calls run their chunks inline on worker threads.
+  // KMeansCluster calls run their chunks inline on whichever thread (pool
+  // worker or the calling thread) trains the subspace.
   codebooks_ = FloatMatrix(m * ksub_, dsub_);
   std::vector<uint16_t> assign_all(data.rows() * m);
   auto train_subspace = [&](size_t s) {

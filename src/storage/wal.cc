@@ -111,6 +111,11 @@ class WalWriter::Impl {
  public:
   std::unique_ptr<AppendFile> file;
   WalSyncPolicy sync = WalSyncPolicy::kNone;
+  /// Where the last whole record ends: a refused append is cut back to it.
+  uint64_t valid_bytes = 0;
+  /// Set when that cut failed; every later append is refused with it, so
+  /// no record ever lands after a tear.
+  Status torn;
 };
 
 WalWriter::WalWriter(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -153,12 +158,14 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
     VDT_RETURN_IF_ERROR(impl->file->Sync());
   }
 
+  impl->valid_bytes = decoded.valid_bytes;
   if (contents != nullptr) *contents = std::move(decoded);
   return std::unique_ptr<WalWriter>(new WalWriter(std::move(impl)));
 }
 
 Status WalWriter::AppendRecord(uint8_t type,
                                const std::vector<uint8_t>& payload) {
+  if (!impl_->torn.ok()) return impl_->torn;
   std::vector<uint8_t> frame;
   frame.reserve(9 + payload.size());
   ByteWriter w(&frame);
@@ -166,11 +173,23 @@ Status WalWriter::AppendRecord(uint8_t type,
   w.U32(static_cast<uint32_t>(payload.size()));
   w.U32(RecordCrc(type, payload.data(), payload.size()));
   w.Bytes(payload.data(), payload.size());
-  VDT_RETURN_IF_ERROR(impl_->file->Append(frame.data(), frame.size()));
-  if (impl_->sync == WalSyncPolicy::kEveryRecord) {
-    return impl_->file->Sync();
+  Status st = impl_->file->Append(frame.data(), frame.size());
+  if (st.ok() && impl_->sync == WalSyncPolicy::kEveryRecord) {
+    st = impl_->file->Sync();
   }
-  return Status::OK();
+  if (st.ok()) {
+    impl_->valid_bytes += frame.size();
+    return st;
+  }
+  // The caller is told the record failed, so it must never replay: cut
+  // whatever part of it reached the file, keeping the log a valid prefix.
+  const Status cut = impl_->file->TruncateTo(impl_->valid_bytes);
+  if (!cut.ok()) {
+    impl_->torn = Status::FailedPrecondition(
+        "WAL: a failed append left a partial record (" + cut.message() +
+        "); refusing further appends");
+  }
+  return st;
 }
 
 Status WalWriter::AppendInsert(const FloatMatrix& rows) {

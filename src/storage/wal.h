@@ -83,6 +83,13 @@ Result<WalContents> DecodeWal(const uint8_t* bytes, size_t len);
 /// The append side. Open() creates the file with its header when absent,
 /// verifies + replays an existing one (returning its contents), and leaves
 /// the handle positioned to append after the last valid record.
+///
+/// The file stays a valid record prefix after a failed append: when a write
+/// (or, under kEveryRecord, its fsync) fails, the writer truncates the file
+/// back to the end of its last whole record before returning the error, so
+/// the refused record never replays and later records follow whole ones.
+/// Should that truncate fail too, every later append is refused; the next
+/// checkpoint opens a fresh WAL.
 class WalWriter {
  public:
   /// Opens `path`, creating it when absent. On an existing file the torn

@@ -36,12 +36,6 @@ class ParallelExecutor;
 
 /// Engine construction knobs.
 struct VdmsEngineOptions {
-  /// Benchmark-only compatibility switch: serializes every Search on one
-  /// engine-wide mutex, reproducing the pre-snapshot read path so
-  /// bench/micro_engine.cc can measure what snapshot reads buy. Never
-  /// enable outside benchmarks.
-  bool serialize_reads = false;
-
   /// When non-empty, collections are durable: each lives under
   /// <data_dir>/<name>/ with a manifest, segment files, and a WAL (see
   /// storage/collection_store.h), and Open() recovers whatever is there.
@@ -171,8 +165,6 @@ class VdmsEngine {
 
   VdmsEngineOptions options_;
   mutable std::mutex mu_;  // guards collections_ (the map), nothing else
-  /// Bench-compat: held across Search when options_.serialize_reads.
-  mutable std::mutex serialize_mu_;
   std::map<std::string, Entry> collections_;
 };
 

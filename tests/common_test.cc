@@ -1,14 +1,19 @@
-// Unit tests for src/common: Status/Result, Rng, ThreadPool, TablePrinter,
-// env helpers, FloatMatrix, SpscQueue.
+// Unit tests for src/common: Status/Result, Rng, ThreadPool,
+// ParallelExecutor and ParallelForOrInline, TablePrinter, env helpers,
+// FloatMatrix, SpscQueue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/env.h"
 #include "common/float_matrix.h"
@@ -211,6 +216,150 @@ TEST(ParallelExecutorTest, GlobalIsSingletonAndUsable) {
   std::atomic<int> count{0};
   a.ParallelFor(5, [&](size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 5);
+}
+
+TEST(ParallelExecutorTest, ParallelForParksItsCaller) {
+  ParallelExecutor ex(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> count{0};
+  std::atomic<int> on_caller{0};
+  ex.ParallelFor(64, [&](size_t) {
+    count.fetch_add(1);
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  });
+  EXPECT_EQ(count.load(), 64);
+  EXPECT_EQ(on_caller.load(), 0);
+}
+
+/// A one-shot gate: Wait() blocks until some thread calls Open().
+class Gate {
+ public:
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  /// Waits at most `timeout`; true when the gate opened in time.
+  bool WaitFor(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// The caller drains its own call: with both workers of a width-2 executor
+// held by another call, ParallelForOrInline still returns, having run every
+// item on the calling thread. The helper task it submitted starts only after
+// the workers are released, finds every item claimed, and runs none.
+TEST(ParallelForOrInlineTest, CallerMakesProgressWhileEveryWorkerIsBusy) {
+  constexpr size_t kItems = 64;
+  std::vector<std::atomic<int>> hits(kItems);
+  std::atomic<int> calls{0};
+  std::atomic<int> off_caller{0};
+  {
+    ParallelExecutor ex(2);
+    Gate workers_released;
+    Gate call_returned;
+    std::atomic<bool> watchdog_fired{false};
+    // Without caller progress the call below waits for the held workers
+    // forever; release them after 10 s so the test fails instead of hanging.
+    std::thread watchdog([&] {
+      if (!call_returned.WaitFor(std::chrono::seconds(10))) {
+        watchdog_fired.store(true);
+        workers_released.Open();
+      }
+    });
+    std::atomic<int> held{0};
+    std::thread holder([&] {
+      ex.ParallelFor(2, [&](size_t) {
+        held.fetch_add(1);
+        workers_released.Wait();
+      });
+    });
+    while (held.load() < 2) std::this_thread::yield();
+
+    const std::thread::id caller = std::this_thread::get_id();
+    ParallelForOrInline(&ex, kItems, [&](size_t i) {
+      hits[i].fetch_add(1);
+      calls.fetch_add(1);
+      if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+    });
+    const bool returned_alone = !watchdog_fired.load();
+    call_returned.Open();
+    workers_released.Open();
+    watchdog.join();
+    holder.join();
+
+    EXPECT_TRUE(returned_alone) << "the call waited for the held workers";
+    EXPECT_EQ(off_caller.load(), 0);
+    for (size_t i = 0; i < kItems; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  }  // ~ParallelExecutor runs what the pool still holds: the late helper.
+  EXPECT_EQ(calls.load(), static_cast<int>(kItems))
+      << "a helper that started after every item was claimed called fn";
+}
+
+TEST(ParallelForOrInlineTest, EveryItemRunsOnceWithinTheWidth) {
+  for (const size_t width : {2, 4}) {
+    ParallelExecutor ex(width);
+    for (const size_t n : {2, 3, 16, 513}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::mutex mu;
+      std::set<std::thread::id> threads;
+      ParallelForOrInline(&ex, n, [&](size_t i) {
+        hits[i].fetch_add(1);
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+      });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "width " << width << " n " << n << " item " << i;
+      }
+      EXPECT_LE(threads.size(), std::min(n, width))
+          << "width " << width << " n " << n;
+    }
+  }
+}
+
+// Two items that wait for each other cannot share a thread, so one runs on
+// the caller and the other on the helper; nested calls from both run inline
+// on the thread that made them.
+TEST(ParallelForOrInlineTest, NestedCallsFromCallerAndHelperRunInline) {
+  ParallelExecutor ex(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<int> on_caller{0};
+  std::atomic<int> inner{0};
+  std::atomic<int> inner_elsewhere{0};
+  ParallelForOrInline(&ex, 2, [&](size_t) {
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    const std::thread::id self = std::this_thread::get_id();
+    if (self == caller) on_caller.fetch_add(1);
+    auto count_inline = [&](size_t) {
+      inner.fetch_add(1);
+      if (std::this_thread::get_id() != self) inner_elsewhere.fetch_add(1);
+    };
+    ParallelForOrInline(&ex, 8, count_inline);
+    ex.ParallelFor(8, count_inline);
+  });
+  EXPECT_EQ(arrived.load(), 2);
+  EXPECT_EQ(on_caller.load(), 1);
+  EXPECT_EQ(inner.load(), 32);
+  EXPECT_EQ(inner_elsewhere.load(), 0);
 }
 
 TEST(StopwatchTest, MeasuresForward) {

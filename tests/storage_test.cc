@@ -852,6 +852,84 @@ TEST(StorageTest, CorruptSegmentFileRefusesStartup) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
+/// The path of the live WAL in collection dir `dir` ("" when none).
+std::string WalFileIn(const std::string& dir) {
+  const auto names = ListDir(dir);
+  if (!names.ok()) return "";
+  for (const std::string& name : *names) {
+    if (name.find(".vwal") != std::string::npos) return dir + "/" + name;
+  }
+  return "";
+}
+
+// A WAL append that fails part-way (the file-size limit, a disk-full
+// stand-in, cuts the record short) is cut back out of the log before the
+// error returns. The log stays a valid prefix, so an insert acknowledged
+// after the refusal survives a restart instead of sitting behind a tear
+// that replay stops at.
+TEST(StorageTest, FailedWalAppendKeepsTheLogAValidPrefix) {
+  const size_t dim = 16, k = 10;
+  const FloatMatrix data = RandomMatrix(200, dim, 23);
+  const FloatMatrix queries = RandomMatrix(8, dim, 24);
+  TempDir td;
+  VdmsEngineOptions eopts;
+  eopts.data_dir = td.path();
+  eopts.wal_sync = WalSyncPolicy::kEveryRecord;
+  std::vector<std::vector<Neighbor>> expected;
+  CollectionStats expected_stats;
+  {
+    VdmsEngine engine(eopts);
+    ASSERT_TRUE(
+        engine.CreateCollection(ChurnOptions(IndexType::kFlat, 200, 23)).ok());
+    ASSERT_TRUE(engine.Insert("c", data.Slice(0, 100)).ok());
+    const std::string wal = WalFileIn(td.path() + "/c");
+    ASSERT_FALSE(wal.empty());
+    const auto before = ReadFileBytes(wal);
+    ASSERT_TRUE(before.ok());
+
+    Status refused;
+    {
+      // Room for part of the 50-row record, not all of it.
+      FileSizeLimitGuard guard(before->size() + 1000);
+      ASSERT_TRUE(guard.active());
+      refused = engine.Insert("c", data.Slice(100, 150));
+    }
+    EXPECT_FALSE(refused.ok());
+    EXPECT_NE(refused.message().find("File too large"), std::string::npos)
+        << refused.ToString();
+    const auto after = ReadFileBytes(wal);
+    ASSERT_TRUE(after.ok());
+    EXPECT_TRUE(*after == *before) << "the refused record stayed in the WAL";
+
+    ASSERT_TRUE(engine.Insert("c", data.Slice(150, 200)).ok());
+    const auto stats = engine.GetStats("c");
+    ASSERT_TRUE(stats.ok());
+    expected_stats = *stats;
+    EXPECT_EQ(expected_stats.live_rows, 150u);
+    const auto response = engine.Search("c", SearchRequest::Batch(queries, k));
+    ASSERT_TRUE(response.ok());
+    expected = response->neighbors;
+  }
+
+  VdmsEngine reopened(eopts);
+  ASSERT_TRUE(reopened.Open().ok());
+  const auto stats = reopened.GetStats("c");
+  ASSERT_TRUE(stats.ok());
+  ExpectStatsEqual(*stats, expected_stats);
+  const auto response = reopened.Search("c", SearchRequest::Batch(queries, k));
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->neighbors.size(), expected.size());
+  for (size_t q = 0; q < expected.size(); ++q) {
+    const auto& got = response->neighbors[q];
+    ASSERT_EQ(got.size(), expected[q].size()) << "query " << q;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, expected[q][i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(got[i].distance, expected[q][i].distance)
+          << "query " << q << " rank " << i;
+    }
+  }
+}
+
 TEST(StorageTest, TornWalTailIsTruncatedAndRecovered) {
   const size_t n = 300, dim = 8, k = 5;
   const FloatMatrix data = RandomMatrix(n, dim, 11);
