@@ -1,14 +1,14 @@
 // Little-endian binary encode/decode helpers shared by every on-disk format
 // (src/storage segment/WAL/manifest codecs, the per-index-family state
-// serializers). Same conventions as the wire protocol: all multi-byte
-// integers are little-endian, floats travel as their IEEE-754 bit patterns.
+// serializers) and the wire protocol (src/net). All multi-byte integers are
+// little-endian; floats travel as their IEEE-754 bit patterns.
 //
-// ByteReader is a bounds-checked cursor: every Get* either succeeds or
+// ByteReader is a bounds-checked cursor: every read either succeeds or
 // returns false leaving the cursor untouched, so decoders built on it are
-// total over arbitrary input — a corrupt or truncated file yields a typed
-// Status from the caller, never an over-read. Bulk reads check `remaining()`
-// BEFORE allocating, so a hostile length field cannot drive a huge
-// allocation.
+// total over arbitrary input — a corrupt or truncated file or frame yields
+// a typed Status from the caller, never an over-read. Bulk reads check
+// `remaining()` BEFORE allocating, so a hostile length field cannot drive a
+// huge allocation.
 #ifndef VDTUNER_COMMON_BINARY_IO_H_
 #define VDTUNER_COMMON_BINARY_IO_H_
 

@@ -1,8 +1,8 @@
 // The batched-evaluation engine: a process-wide executor that shards
-// independent per-item tasks (one task per query in SearchBatch) across a
-// shared ThreadPool. Callers write results into pre-sized slots keyed by
-// item index, so parallel execution is bit-identical to the sequential loop
-// regardless of completion order.
+// independent per-item tasks (one task per (query, shard) pair in the
+// snapshot search scatter) across a shared ThreadPool. Callers write
+// results into pre-sized slots keyed by item index, so parallel execution
+// is bit-identical to the sequential loop regardless of completion order.
 #ifndef VDTUNER_COMMON_PARALLEL_EXECUTOR_H_
 #define VDTUNER_COMMON_PARALLEL_EXECUTOR_H_
 
@@ -38,8 +38,8 @@ class ParallelExecutor {
 
   size_t num_threads() const;
 
-  /// The process-wide executor used by SearchBatch / replay when the caller
-  /// does not supply one. Constructed on first use.
+  /// The process-wide executor used by the search scatter and replay when
+  /// the caller does not supply one. Constructed on first use.
   static ParallelExecutor& Global();
 
  private:
@@ -82,7 +82,7 @@ void ParallelChunks(ParallelExecutor* executor, size_t n, size_t chunk_size,
 /// paying a sleep and a wake-up per pass on its critical path.
 ///
 /// ParallelFor and ParallelChunks keep parking their caller. ParallelFor
-/// runs the serving scatter, SearchBatch, replay and ground truth; letting
+/// runs the search scatter (serving and replay) and ground truth; letting
 /// its caller join slowed the writer of a churn benchmark run (2 CPUs)
 /// beside its reader in every measured pair. ParallelChunks (k-means, SQ8
 /// ranges) runs beside the same reader during checkpoints, and its caller

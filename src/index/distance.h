@@ -2,7 +2,7 @@
 // (Table III); vectors are L2-normalized at ingest so angular reduces to
 // 1 - dot. Every function here routes through the active SIMD kernel
 // backend (index/kernels/kernels.h): runtime-dispatched on CPU features,
-// overridable via VDT_KERNEL=scalar|avx2|avx512|neon|native. Per-row results are
+// overridable via VDT_KERNEL=scalar|avx2|avx512|native. Per-row results are
 // block-invariant — a batch call produces bit-identical values to the
 // corresponding one-row calls — so callers may block scans any way they
 // like without changing results.

@@ -100,39 +100,6 @@ ParallelExecutor* ResolveBuildExecutor(int build_threads) {
   return pool.get();
 }
 
-std::vector<std::vector<Neighbor>> ParallelSearchBatch(
-    size_t num_queries,
-    const std::function<std::vector<Neighbor>(size_t, WorkCounters*)>&
-        search_one,
-    WorkCounters* counters, ParallelExecutor* executor) {
-  std::vector<std::vector<Neighbor>> results(num_queries);
-  if (num_queries == 0) return results;
-
-  // Per-query task sharding: each task owns its result slot and a private
-  // counter, so no synchronization is needed inside search_one. Counters are
-  // folded in query order after the barrier (uint64 sums are
-  // order-independent, but keeping the fold deterministic costs nothing).
-  std::vector<WorkCounters> local(counters != nullptr ? num_queries : 0);
-  ParallelExecutor& ex =
-      executor != nullptr ? *executor : ParallelExecutor::Global();
-  ex.ParallelFor(num_queries, [&](size_t q) {
-    results[q] = search_one(q, counters != nullptr ? &local[q] : nullptr);
-  });
-  if (counters != nullptr) {
-    for (size_t q = 0; q < num_queries; ++q) counters->Add(local[q]);
-  }
-  return results;
-}
-
-std::vector<std::vector<Neighbor>> VectorIndex::SearchBatch(
-    const FloatMatrix& queries, size_t k, WorkCounters* counters,
-    ParallelExecutor* executor) const {
-  return ParallelSearchBatch(
-      queries.rows(),
-      [&](size_t q, WorkCounters* wc) { return Search(queries.Row(q), k, wc); },
-      counters, executor);
-}
-
 std::vector<Neighbor> BruteForceSearch(const FloatMatrix& data, Metric metric,
                                        const float* query, size_t k,
                                        WorkCounters* counters,

@@ -52,7 +52,7 @@ struct IndexParams {
   int reorder_k = 200;  // exact re-ranking candidate count
 
   /// Worker threads for Build(): 0 = the process-wide ParallelExecutor
-  /// (sized by VDT_THREADS, like SearchBatch), 1 = sequential, n > 1 = a
+  /// (sized by VDT_THREADS, like searches), 1 = sequential, n > 1 = a
   /// shared pool of that width. Not a tuned parameter. The kmeans-family
   /// builds are bit-identical for every width, so BuildSignature() ignores
   /// this knob for them; HNSW builds a different (equally valid) graph in
@@ -202,25 +202,16 @@ class VectorIndex {
   /// backend reads exactly the fields its UpdateSearchParams() would apply:
   /// the IVF family reads nprobe, HNSW reads ef, SCANN reads nprobe and
   /// reorder_k, and FLAT/AUTOINDEX ignore overrides entirely.
+  ///
+  /// Thread-safety contract: once Build() has returned, searching is const
+  /// and side-effect-free on every backend, so any number of threads may
+  /// search one index concurrently (the snapshot scatter does), each call
+  /// returning the results and counters a sequential call would.
   virtual std::vector<Neighbor> SearchFiltered(const float* query, size_t k,
                                                const RowFilter* filter,
                                                WorkCounters* counters,
                                                const IndexParams* knobs)
       const = 0;
-
-  /// Top-k for every row of `queries`; result i corresponds to
-  /// queries.Row(i). Queries are sharded one-per-task across `executor`
-  /// (ParallelExecutor::Global() when null).
-  ///
-  /// Thread-safety contract: Search() is const and side-effect-free on
-  /// every backend once Build() has returned, so SearchBatch may run any
-  /// number of queries concurrently — results and the counter aggregate are
-  /// identical to calling Search() sequentially in row order, independent
-  /// of thread count and scheduling. UpdateSearchParams() must not run
-  /// concurrently with searches.
-  virtual std::vector<std::vector<Neighbor>> SearchBatch(
-      const FloatMatrix& queries, size_t k, WorkCounters* counters,
-      ParallelExecutor* executor = nullptr) const;
 
   /// Updates search-time knobs (nprobe, ef, reorder_k) without rebuilding.
   /// Build-time parameters are fixed once Build() has run; see
@@ -273,19 +264,6 @@ class VectorIndex {
     return nullptr;
   }
 };
-
-/// The engine behind every SearchBatch implementation: runs
-/// `search_one(q, per_query_counters)` for q in [0, num_queries) sharded
-/// one-per-task across `executor` (ParallelExecutor::Global() when null),
-/// returning results in query order and folding per-query counters into
-/// `counters` (may be null) in query order. `search_one` must be
-/// thread-safe and side-effect-free, which makes the parallel run
-/// indistinguishable from a sequential loop.
-std::vector<std::vector<Neighbor>> ParallelSearchBatch(
-    size_t num_queries,
-    const std::function<std::vector<Neighbor>(size_t, WorkCounters*)>&
-        search_one,
-    WorkCounters* counters, ParallelExecutor* executor);
 
 /// Resolves the executor a Build() should shard its passes across from
 /// IndexParams::build_threads: 0 returns the process-wide

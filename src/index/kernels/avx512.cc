@@ -3,7 +3,7 @@
 // terms i with i % 32 == 16u + j), a fixed lanewise pairwise horizontal
 // sum, and a *masked-load* remainder: the last dim % 16 elements run as
 // one maskz-load FMA into accumulator 0 (masked-off lanes contribute +0),
-// replacing the scalar tail loops of the AVX2/NEON backends entirely. One
+// replacing the scalar tail loop of the AVX2 backend entirely. One
 // scheme per row regardless of batch size keeps the batch kernels
 // block-invariant. Compiled via function-level target attributes so the
 // rest of the library stays baseline-ISA; registration is CPUID-gated.

@@ -46,7 +46,6 @@ std::vector<const Backend*> AllBackends() {
   std::vector<const Backend*> backends{&ScalarBackend()};
   if (Avx2Backend() != nullptr) backends.push_back(Avx2Backend());
   if (Avx512Backend() != nullptr) backends.push_back(Avx512Backend());
-  if (NeonBackend() != nullptr) backends.push_back(NeonBackend());
   return backends;
 }
 

@@ -1,5 +1,5 @@
 // The SIMD distance-kernel subsystem: scalar reference kernels plus
-// vectorized variants (AVX2 and AVX-512 on x86-64, NEON on aarch64) behind
+// vectorized variants (AVX2 and AVX-512 on x86-64) behind
 // a runtime dispatch registry. Every one-query-vs-many-rows scan in the
 // engine — FLAT scans, IVF posting lists, PQ ADC lookups, SCANN reorder,
 // HNSW neighbor expansion, kmeans assignment — bottoms out in these
@@ -27,8 +27,6 @@
 //           as one masked-load FMA into accumulator 0 instead of a scalar
 //           tail loop (masked-off lanes contribute +0). Same bound shape
 //           as avx2.
-//   neon:   4-lane FMA accumulators (2-way unrolled), vaddvq reduction;
-//           same bound shape as avx2.
 // tests/kernel_test.cc enforces |got - oracle| <= 4 * dim * eps *
 // sum|term| + dim * FLT_MIN (the additive floor covers underflow of
 // subnormal products) for every registered backend across dims 1..257.
@@ -105,7 +103,7 @@ using Sq8DotI8BatchFn = Sq8DotBatchFn;
 /// All registered backends are listed by AllBackends(); the ones the
 /// current CPU can execute by AvailableBackends().
 struct Backend {
-  const char* name;          // "scalar", "avx2", "avx512", "neon"
+  const char* name;          // "scalar", "avx2", "avx512"
   bool (*available)();       // runtime CPU support check
 
   DotFn dot;
@@ -117,14 +115,6 @@ struct Backend {
   PqLookupBatchFn pq_lookup_batch;
   Sq8DotI8BatchFn sq8_dot_i8;
 };
-
-/// The portable reference PQ lookup: out[i] = ((bias + t_0) + t_1) + ...,
-/// one sequential float accumulation per row — bit-for-bit the historic
-/// IvfPqIndex ADC loop. Exposed so backends without a gather unit can
-/// share it as their pq_lookup_batch slot.
-void ReferencePqLookupBatch(const float* table, const uint16_t* codes,
-                            size_t m, size_t ksub, size_t n, float bias,
-                            float* out);
 
 /// The portable reference backend; always available, and the oracle the
 /// vectorized backends are tested against. Its one-to-one kernels preserve
@@ -141,7 +131,6 @@ const Backend& ScalarBackend();
 /// stay bit-stable).
 const Backend* Avx2Backend();
 const Backend* Avx512Backend();
-const Backend* NeonBackend();
 
 /// Every backend compiled into this binary, scalar first.
 std::vector<const Backend*> AllBackends();

@@ -108,16 +108,10 @@ void ScalarSq8DotBatch(const float* query, const uint8_t* codes,
   }
 }
 
-bool AlwaysAvailable() { return true; }
-
-}  // namespace
-
 // The historic IvfPqIndex ADC loop, preserved bit-for-bit: one sequential
-// float accumulation per row, seeded with the bias. Non-static so gather-
-// less backends (NEON) can share it as their pq_lookup_batch slot.
-void ReferencePqLookupBatch(const float* table, const uint16_t* codes,
-                            size_t m, size_t ksub, size_t n, float bias,
-                            float* out) {
+// float accumulation per row, seeded with the bias.
+void ScalarPqLookupBatch(const float* table, const uint16_t* codes, size_t m,
+                         size_t ksub, size_t n, float bias, float* out) {
   for (size_t i = 0; i < n; ++i) {
     const uint16_t* code = codes + i * m;
     float acc = bias;
@@ -125,6 +119,10 @@ void ReferencePqLookupBatch(const float* table, const uint16_t* codes,
     out[i] = acc;
   }
 }
+
+bool AlwaysAvailable() { return true; }
+
+}  // namespace
 
 const Backend& ScalarBackend() {
   static const Backend backend = {
@@ -136,7 +134,7 @@ const Backend& ScalarBackend() {
       .l2_batch = ScalarL2Batch,
       .sq8_l2_batch = ScalarSq8L2Batch,
       .sq8_dot_batch = ScalarSq8DotBatch,
-      .pq_lookup_batch = ReferencePqLookupBatch,
+      .pq_lookup_batch = ScalarPqLookupBatch,
       // The quantized-dot slot is the float reference itself: scalar
       // results are pinned bit-for-bit regardless of which slot a caller
       // routes through.

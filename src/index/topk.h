@@ -56,10 +56,10 @@ class TopKCollector {
 
 /// K-way merge of per-source top-k candidate lists into one global top-k,
 /// ordered by (distance, id) — the gather half of every scatter/gather
-/// search (per-shard result lists, SearchBatch aggregation, SCANN's exact
-/// reorder). The (distance, id) total order makes the output independent of
-/// list order, list count, and thread scheduling: splitting one candidate
-/// set across any number of source lists produces the same merged top-k.
+/// search (per-shard result lists, SCANN's exact reorder). The (distance,
+/// id) total order makes the output independent of list order, list count,
+/// and thread scheduling: splitting one candidate set across any number of
+/// source lists produces the same merged top-k.
 /// Input lists need not be sorted. A row id surfacing in more than one list
 /// is kept once, at its best (smallest) distance; empty lists are free.
 inline std::vector<Neighbor> MergeTopK(std::vector<std::vector<Neighbor>> lists,

@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/binary_io.h"
+
 namespace vdt {
 namespace net {
 
@@ -40,6 +42,15 @@ bool RecvAll(int fd, uint8_t* data, size_t len) {
     got += static_cast<size_t>(n);
   }
   return true;
+}
+
+/// The insert and delete replies: exactly one u64 count.
+Result<uint64_t> DecodeCount(const std::vector<uint8_t>& payload,
+                             const char* malformed) {
+  ByteReader r(payload.data(), payload.size());
+  uint64_t count;
+  if (!r.U64(&count) || r.remaining() != 0) return Status::Internal(malformed);
+  return count;
 }
 
 }  // namespace
@@ -163,14 +174,7 @@ Result<uint64_t> VdtClient::Insert(const std::string& collection,
   wire.rows = rows;
   auto reply = Roundtrip(Op::kInsert, EncodeInsertRequest(wire));
   if (!reply.ok()) return reply.status();
-  if (reply->second.size() != 8) {
-    return Status::Internal("malformed insert reply");
-  }
-  uint64_t total = 0;
-  for (int i = 0; i < 8; ++i) {
-    total |= static_cast<uint64_t>(reply->second[i]) << (8 * i);
-  }
-  return total;
+  return DecodeCount(reply->second, "malformed insert reply");
 }
 
 Result<uint64_t> VdtClient::Delete(const std::string& collection,
@@ -180,14 +184,7 @@ Result<uint64_t> VdtClient::Delete(const std::string& collection,
   wire.ids = ids;
   auto reply = Roundtrip(Op::kDelete, EncodeDeleteRequest(wire));
   if (!reply.ok()) return reply.status();
-  if (reply->second.size() != 8) {
-    return Status::Internal("malformed delete reply");
-  }
-  uint64_t deleted = 0;
-  for (int i = 0; i < 8; ++i) {
-    deleted |= static_cast<uint64_t>(reply->second[i]) << (8 * i);
-  }
-  return deleted;
+  return DecodeCount(reply->second, "malformed delete reply");
 }
 
 Result<StatsReplyWire> VdtClient::Stats(const std::string& collection) {

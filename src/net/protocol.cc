@@ -1,130 +1,43 @@
 #include "net/protocol.h"
 
-#include <cstring>
+#include "common/binary_io.h"
 
 namespace vdt {
 namespace net {
 namespace {
 
-// ------------------------------------------------------------- wire writer
+// The codec is common/binary_io.h's ByteWriter/ByteReader: little-endian
+// integers, floats as IEEE-754 bit patterns, and bounds-checked reads that
+// fail instead of over-reading, so every decoder below is total.
 
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+/// u16 length + bytes; the kMaxWireNameBytes limit is checked before the
+/// name is copied.
+bool GetName(ByteReader* r, std::string* out) {
+  uint16_t n;
+  const uint8_t* bytes;
+  if (!r->U16(&n) || n > kMaxWireNameBytes || !r->Span(n, &bytes)) {
+    return false;
+  }
+  out->assign(reinterpret_cast<const char*>(bytes), n);
+  return true;
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF32(std::vector<uint8_t>* out, float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU32(out, bits);
-}
-
-void PutName(std::vector<uint8_t>* out, const std::string& name) {
-  PutU16(out, static_cast<uint16_t>(name.size()));
-  out->insert(out->end(), name.begin(), name.end());
-}
-
-// ------------------------------------------------------------- wire reader
-
-/// Bounds-checked cursor over a byte span. Every Get* fails (returns false,
-/// leaves *out untouched) instead of over-reading, so decoders built on it
-/// are total over arbitrary input.
-class Reader {
- public:
-  Reader(const uint8_t* bytes, size_t len) : bytes_(bytes), len_(len) {}
-
-  bool GetU8(uint8_t* out) {
-    if (len_ - pos_ < 1) return false;
-    *out = bytes_[pos_++];
-    return true;
+/// Reads rows*dim f32 into a matrix, checking that they fit in the payload
+/// before allocating (the caller bounds rows/dim by kMaxWireRows/kMaxWireDim).
+bool GetMatrix(ByteReader* r, uint32_t rows, uint32_t dim, FloatMatrix* out) {
+  if (!r->Fits(static_cast<uint64_t>(rows) * dim, sizeof(float))) {
+    return false;
   }
-
-  bool GetU16(uint16_t* out) {
-    if (len_ - pos_ < 2) return false;
-    *out = static_cast<uint16_t>(bytes_[pos_] |
-                                 (static_cast<uint16_t>(bytes_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool GetU32(uint32_t* out) {
-    if (len_ - pos_ < 4) return false;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    *out = v;
-    return true;
-  }
-
-  bool GetU64(uint64_t* out) {
-    if (len_ - pos_ < 8) return false;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    *out = v;
-    return true;
-  }
-
-  bool GetI64(int64_t* out) {
-    uint64_t v;
-    if (!GetU64(&v)) return false;
-    *out = static_cast<int64_t>(v);
-    return true;
-  }
-
-  bool GetF32(float* out) {
-    uint32_t bits;
-    if (!GetU32(&bits)) return false;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
-
-  bool GetName(std::string* out) {
-    uint16_t n;
-    if (!GetU16(&n)) return false;
-    if (n > kMaxWireNameBytes || len_ - pos_ < n) return false;
-    out->assign(reinterpret_cast<const char*>(bytes_ + pos_), n);
-    pos_ += n;
-    return true;
-  }
-
-  /// Reads rows*dim little-endian f32 into a matrix (bounds pre-checked by
-  /// the caller against kMaxWireRows/kMaxWireDim).
-  bool GetMatrix(uint32_t rows, uint32_t dim, FloatMatrix* out) {
-    const uint64_t floats = static_cast<uint64_t>(rows) * dim;
-    if ((len_ - pos_) / sizeof(float) < floats) return false;
-    FloatMatrix m(rows, dim);
-    for (uint32_t r = 0; r < rows; ++r) {
-      float* row = m.Row(r);
-      for (uint32_t d = 0; d < dim; ++d) {
-        if (!GetF32(&row[d])) return false;
-      }
+  FloatMatrix m(rows, dim);
+  for (uint32_t i = 0; i < rows; ++i) {
+    float* row = m.Row(i);
+    for (uint32_t d = 0; d < dim; ++d) {
+      if (!r->F32(&row[d])) return false;
     }
-    *out = std::move(m);
-    return true;
   }
-
-  size_t remaining() const { return len_ - pos_; }
-
- private:
-  const uint8_t* bytes_;
-  size_t len_;
-  size_t pos_ = 0;
-};
+  *out = std::move(m);
+  return true;
+}
 
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed ") + what);
@@ -132,39 +45,39 @@ Status Malformed(const char* what) {
 
 /// Decoders reject trailing bytes: a payload that keeps going after the
 /// message ends is a framing bug on the peer, not data to ignore.
-Status CheckDrained(const Reader& r, const char* what) {
+Status CheckDrained(const ByteReader& r, const char* what) {
   if (r.remaining() != 0) return Malformed(what);
   return Status::OK();
 }
 
-void PutMatrix(std::vector<uint8_t>* out, const FloatMatrix& m) {
-  PutU32(out, static_cast<uint32_t>(m.rows()));
-  PutU32(out, static_cast<uint32_t>(m.dim()));
+void PutMatrix(ByteWriter* w, const FloatMatrix& m) {
+  w->U32(static_cast<uint32_t>(m.rows()));
+  w->U32(static_cast<uint32_t>(m.dim()));
   for (size_t r = 0; r < m.rows(); ++r) {
     const float* row = m.Row(r);
-    for (size_t d = 0; d < m.dim(); ++d) PutF32(out, row[d]);
+    for (size_t d = 0; d < m.dim(); ++d) w->F32(row[d]);
   }
 }
 
-void PutCounters(std::vector<uint8_t>* out, const WorkCounters& w) {
-  PutU64(out, w.full_distance_evals);
-  PutU64(out, w.coarse_distance_evals);
-  PutU64(out, w.code_distance_evals);
-  PutU64(out, w.pq_lookup_ops);
-  PutU64(out, w.table_build_flops);
-  PutU64(out, w.graph_hops);
-  PutU64(out, w.reorder_evals);
-  PutU64(out, w.shard_scatters);
-  PutU64(out, w.gather_candidates);
+void PutCounters(ByteWriter* w, const WorkCounters& c) {
+  w->U64(c.full_distance_evals);
+  w->U64(c.coarse_distance_evals);
+  w->U64(c.code_distance_evals);
+  w->U64(c.pq_lookup_ops);
+  w->U64(c.table_build_flops);
+  w->U64(c.graph_hops);
+  w->U64(c.reorder_evals);
+  w->U64(c.shard_scatters);
+  w->U64(c.gather_candidates);
 }
 
-bool GetCounters(Reader* r, WorkCounters* w) {
-  return r->GetU64(&w->full_distance_evals) &&
-         r->GetU64(&w->coarse_distance_evals) &&
-         r->GetU64(&w->code_distance_evals) && r->GetU64(&w->pq_lookup_ops) &&
-         r->GetU64(&w->table_build_flops) && r->GetU64(&w->graph_hops) &&
-         r->GetU64(&w->reorder_evals) && r->GetU64(&w->shard_scatters) &&
-         r->GetU64(&w->gather_candidates);
+bool GetCounters(ByteReader* r, WorkCounters* c) {
+  return r->U64(&c->full_distance_evals) &&
+         r->U64(&c->coarse_distance_evals) &&
+         r->U64(&c->code_distance_evals) && r->U64(&c->pq_lookup_ops) &&
+         r->U64(&c->table_build_flops) && r->U64(&c->graph_hops) &&
+         r->U64(&c->reorder_evals) && r->U64(&c->shard_scatters) &&
+         r->U64(&c->gather_candidates);
 }
 
 }  // namespace
@@ -189,13 +102,14 @@ void EncodeFrame(uint8_t op, uint32_t request_id,
                  const std::vector<uint8_t>& payload,
                  std::vector<uint8_t>* out) {
   out->reserve(out->size() + kFrameHeaderBytes + payload.size());
-  PutU8(out, kMagic0);
-  PutU8(out, kMagic1);
-  PutU8(out, kProtocolVersion);
-  PutU8(out, op);
-  PutU32(out, request_id);
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  out->insert(out->end(), payload.begin(), payload.end());
+  ByteWriter w(out);
+  w.U8(kMagic0);
+  w.U8(kMagic1);
+  w.U8(kProtocolVersion);
+  w.U8(op);
+  w.U32(request_id);
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.Bytes(payload.data(), payload.size());
 }
 
 Status DecodeFrameHeader(const uint8_t* bytes, size_t len, uint32_t max_payload,
@@ -206,10 +120,10 @@ Status DecodeFrameHeader(const uint8_t* bytes, size_t len, uint32_t max_payload,
   if (bytes[0] != kMagic0 || bytes[1] != kMagic1) {
     return Status::InvalidArgument("frame header: bad magic");
   }
-  Reader r(bytes + 2, kFrameHeaderBytes - 2);
+  ByteReader r(bytes + 2, kFrameHeaderBytes - 2);
   FrameHeader h;
-  if (!r.GetU8(&h.version) || !r.GetU8(&h.op) || !r.GetU32(&h.request_id) ||
-      !r.GetU32(&h.payload_len)) {
+  if (!r.U8(&h.version) || !r.U8(&h.op) || !r.U32(&h.request_id) ||
+      !r.U32(&h.payload_len)) {
     return Status::InvalidArgument("frame header: short read");
   }
   if (h.payload_len > max_payload) {
@@ -225,45 +139,41 @@ Status DecodeFrameHeader(const uint8_t* bytes, size_t len, uint32_t max_payload,
 
 std::vector<uint8_t> EncodeSearchRequest(const SearchRequestWire& msg) {
   std::vector<uint8_t> out;
-  PutName(&out, msg.collection);
-  PutU32(&out, msg.k);
-  PutU8(&out, msg.has_knobs ? 1 : 0);
+  ByteWriter w(&out);
+  w.Str16(msg.collection);
+  w.U32(msg.k);
+  w.U8(msg.has_knobs ? 1 : 0);
   if (msg.has_knobs) {
-    PutU32(&out, static_cast<uint32_t>(msg.nprobe));
-    PutU32(&out, static_cast<uint32_t>(msg.ef));
-    PutU32(&out, static_cast<uint32_t>(msg.reorder_k));
+    w.I32(msg.nprobe);
+    w.I32(msg.ef);
+    w.I32(msg.reorder_k);
   }
-  PutMatrix(&out, msg.queries);
+  PutMatrix(&w, msg.queries);
   return out;
 }
 
 Status DecodeSearchRequest(const uint8_t* bytes, size_t len,
                            SearchRequestWire* out) {
-  Reader r(bytes, len);
+  ByteReader r(bytes, len);
   SearchRequestWire msg;
-  if (!r.GetName(&msg.collection)) return Malformed("search request");
-  if (!r.GetU32(&msg.k)) return Malformed("search request");
+  if (!GetName(&r, &msg.collection)) return Malformed("search request");
+  if (!r.U32(&msg.k)) return Malformed("search request");
   if (msg.k == 0 || msg.k > kMaxWireK) {
     return Status::InvalidArgument("search request: k must be in [1, " +
                                    std::to_string(kMaxWireK) + "]");
   }
   uint8_t flags;
-  if (!r.GetU8(&flags)) return Malformed("search request");
+  if (!r.U8(&flags)) return Malformed("search request");
   if ((flags & ~uint8_t{1}) != 0) {
     return Status::InvalidArgument("search request: unknown flag bits");
   }
   msg.has_knobs = (flags & 1) != 0;
-  if (msg.has_knobs) {
-    uint32_t nprobe, ef, reorder_k;
-    if (!r.GetU32(&nprobe) || !r.GetU32(&ef) || !r.GetU32(&reorder_k)) {
-      return Malformed("search request");
-    }
-    msg.nprobe = static_cast<int32_t>(nprobe);
-    msg.ef = static_cast<int32_t>(ef);
-    msg.reorder_k = static_cast<int32_t>(reorder_k);
+  if (msg.has_knobs &&
+      (!r.I32(&msg.nprobe) || !r.I32(&msg.ef) || !r.I32(&msg.reorder_k))) {
+    return Malformed("search request");
   }
   uint32_t nq, dim;
-  if (!r.GetU32(&nq) || !r.GetU32(&dim)) return Malformed("search request");
+  if (!r.U32(&nq) || !r.U32(&dim)) return Malformed("search request");
   if (nq > kMaxWireRows || dim > kMaxWireDim) {
     return Status::InvalidArgument("search request: batch shape " +
                                    std::to_string(nq) + "x" +
@@ -272,7 +182,7 @@ Status DecodeSearchRequest(const uint8_t* bytes, size_t len,
   // The declared shape must match the bytes on the wire exactly — a frame
   // whose float section is shorter than nq*dim is the "dim mismatch"
   // adversarial case, answered with a typed error.
-  if (!r.GetMatrix(nq, dim, &msg.queries)) return Malformed("search request");
+  if (!GetMatrix(&r, nq, dim, &msg.queries)) return Malformed("search request");
   VDT_RETURN_IF_ERROR(CheckDrained(r, "search request"));
   *out = std::move(msg);
   return Status::OK();
@@ -280,36 +190,37 @@ Status DecodeSearchRequest(const uint8_t* bytes, size_t len,
 
 std::vector<uint8_t> EncodeSearchReply(const SearchReplyWire& msg) {
   std::vector<uint8_t> out;
-  PutU32(&out, static_cast<uint32_t>(msg.neighbors.size()));
+  ByteWriter w(&out);
+  w.U32(static_cast<uint32_t>(msg.neighbors.size()));
   for (const auto& list : msg.neighbors) {
-    PutU32(&out, static_cast<uint32_t>(list.size()));
+    w.U32(static_cast<uint32_t>(list.size()));
     for (const Neighbor& n : list) {
-      PutI64(&out, n.id);
-      PutF32(&out, n.distance);
+      w.I64(n.id);
+      w.F32(n.distance);
     }
   }
-  PutCounters(&out, msg.work);
+  PutCounters(&w, msg.work);
   return out;
 }
 
 Status DecodeSearchReply(const uint8_t* bytes, size_t len,
                          SearchReplyWire* out) {
-  Reader r(bytes, len);
+  ByteReader r(bytes, len);
   SearchReplyWire msg;
   uint32_t nq;
-  if (!r.GetU32(&nq)) return Malformed("search reply");
+  if (!r.U32(&nq)) return Malformed("search reply");
   if (nq > kMaxWireRows) return Malformed("search reply");
   msg.neighbors.resize(nq);
   for (uint32_t q = 0; q < nq; ++q) {
     uint32_t count;
-    if (!r.GetU32(&count)) return Malformed("search reply");
-    if (count > kMaxWireK || r.remaining() / 12 < count) {
+    if (!r.U32(&count)) return Malformed("search reply");
+    if (count > kMaxWireK || !r.Fits(count, 12)) {
       return Malformed("search reply");
     }
     msg.neighbors[q].resize(count);
     for (uint32_t i = 0; i < count; ++i) {
       Neighbor& n = msg.neighbors[q][i];
-      if (!r.GetI64(&n.id) || !r.GetF32(&n.distance)) {
+      if (!r.I64(&n.id) || !r.F32(&n.distance)) {
         return Malformed("search reply");
       }
     }
@@ -324,22 +235,23 @@ Status DecodeSearchReply(const uint8_t* bytes, size_t len,
 
 std::vector<uint8_t> EncodeInsertRequest(const InsertRequestWire& msg) {
   std::vector<uint8_t> out;
-  PutName(&out, msg.collection);
-  PutMatrix(&out, msg.rows);
+  ByteWriter w(&out);
+  w.Str16(msg.collection);
+  PutMatrix(&w, msg.rows);
   return out;
 }
 
 Status DecodeInsertRequest(const uint8_t* bytes, size_t len,
                            InsertRequestWire* out) {
-  Reader r(bytes, len);
+  ByteReader r(bytes, len);
   InsertRequestWire msg;
-  if (!r.GetName(&msg.collection)) return Malformed("insert request");
+  if (!GetName(&r, &msg.collection)) return Malformed("insert request");
   uint32_t nq, dim;
-  if (!r.GetU32(&nq) || !r.GetU32(&dim)) return Malformed("insert request");
+  if (!r.U32(&nq) || !r.U32(&dim)) return Malformed("insert request");
   if (nq > kMaxWireRows || dim > kMaxWireDim) {
     return Status::InvalidArgument("insert request: batch shape out of range");
   }
-  if (!r.GetMatrix(nq, dim, &msg.rows)) return Malformed("insert request");
+  if (!GetMatrix(&r, nq, dim, &msg.rows)) return Malformed("insert request");
   VDT_RETURN_IF_ERROR(CheckDrained(r, "insert request"));
   *out = std::move(msg);
   return Status::OK();
@@ -349,25 +261,26 @@ Status DecodeInsertRequest(const uint8_t* bytes, size_t len,
 
 std::vector<uint8_t> EncodeDeleteRequest(const DeleteRequestWire& msg) {
   std::vector<uint8_t> out;
-  PutName(&out, msg.collection);
-  PutU32(&out, static_cast<uint32_t>(msg.ids.size()));
-  for (int64_t id : msg.ids) PutI64(&out, id);
+  ByteWriter w(&out);
+  w.Str16(msg.collection);
+  w.U32(static_cast<uint32_t>(msg.ids.size()));
+  for (int64_t id : msg.ids) w.I64(id);
   return out;
 }
 
 Status DecodeDeleteRequest(const uint8_t* bytes, size_t len,
                            DeleteRequestWire* out) {
-  Reader r(bytes, len);
+  ByteReader r(bytes, len);
   DeleteRequestWire msg;
-  if (!r.GetName(&msg.collection)) return Malformed("delete request");
+  if (!GetName(&r, &msg.collection)) return Malformed("delete request");
   uint32_t count;
-  if (!r.GetU32(&count)) return Malformed("delete request");
-  if (count > kMaxWireRows || r.remaining() / 8 < count) {
+  if (!r.U32(&count)) return Malformed("delete request");
+  if (count > kMaxWireRows || !r.Fits(count, 8)) {
     return Malformed("delete request");
   }
   msg.ids.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
-    if (!r.GetI64(&msg.ids[i])) return Malformed("delete request");
+    if (!r.I64(&msg.ids[i])) return Malformed("delete request");
   }
   VDT_RETURN_IF_ERROR(CheckDrained(r, "delete request"));
   *out = std::move(msg);
@@ -378,15 +291,15 @@ Status DecodeDeleteRequest(const uint8_t* bytes, size_t len,
 
 std::vector<uint8_t> EncodeStatsRequest(const StatsRequestWire& msg) {
   std::vector<uint8_t> out;
-  PutName(&out, msg.collection);
+  ByteWriter(&out).Str16(msg.collection);
   return out;
 }
 
 Status DecodeStatsRequest(const uint8_t* bytes, size_t len,
                           StatsRequestWire* out) {
-  Reader r(bytes, len);
+  ByteReader r(bytes, len);
   StatsRequestWire msg;
-  if (!r.GetName(&msg.collection)) return Malformed("stats request");
+  if (!GetName(&r, &msg.collection)) return Malformed("stats request");
   VDT_RETURN_IF_ERROR(CheckDrained(r, "stats request"));
   *out = std::move(msg);
   return Status::OK();
@@ -394,64 +307,64 @@ Status DecodeStatsRequest(const uint8_t* bytes, size_t len,
 
 std::vector<uint8_t> EncodeStatsReply(const StatsReplyWire& msg) {
   std::vector<uint8_t> out;
-  PutU64(&out, msg.accepted_connections);
-  PutU64(&out, msg.requests_ok);
-  PutU64(&out, msg.requests_error);
-  PutU64(&out, msg.busy_rejected);
-  PutU64(&out, msg.timed_out);
-  PutU64(&out, msg.protocol_errors);
+  ByteWriter w(&out);
+  w.U64(msg.accepted_connections);
+  w.U64(msg.requests_ok);
+  w.U64(msg.requests_error);
+  w.U64(msg.busy_rejected);
+  w.U64(msg.timed_out);
+  w.U64(msg.protocol_errors);
   for (const EndpointStatsWire& e : msg.endpoints) {
-    PutU64(&out, e.count);
-    PutU64(&out, e.p50_us);
-    PutU64(&out, e.p95_us);
-    PutU64(&out, e.p99_us);
+    w.U64(e.count);
+    w.U64(e.p50_us);
+    w.U64(e.p95_us);
+    w.U64(e.p99_us);
   }
-  PutU64(&out, msg.coalesced_requests);
-  PutU64(&out, msg.coalesce_batch.count);
-  PutU64(&out, msg.coalesce_batch.p50_us);
-  PutU64(&out, msg.coalesce_batch.p95_us);
-  PutU64(&out, msg.coalesce_batch.p99_us);
-  PutU8(&out, msg.has_collection ? 1 : 0);
+  w.U64(msg.coalesced_requests);
+  w.U64(msg.coalesce_batch.count);
+  w.U64(msg.coalesce_batch.p50_us);
+  w.U64(msg.coalesce_batch.p95_us);
+  w.U64(msg.coalesce_batch.p99_us);
+  w.U8(msg.has_collection ? 1 : 0);
   if (msg.has_collection) {
-    PutU64(&out, msg.total_rows);
-    PutU64(&out, msg.stored_rows);
-    PutU64(&out, msg.live_rows);
-    PutU64(&out, msg.tombstoned_rows);
-    PutU64(&out, msg.num_shards);
-    PutU64(&out, msg.num_sealed_segments);
+    w.U64(msg.total_rows);
+    w.U64(msg.stored_rows);
+    w.U64(msg.live_rows);
+    w.U64(msg.tombstoned_rows);
+    w.U64(msg.num_shards);
+    w.U64(msg.num_sealed_segments);
   }
   return out;
 }
 
 Status DecodeStatsReply(const uint8_t* bytes, size_t len, StatsReplyWire* out) {
-  Reader r(bytes, len);
+  ByteReader r(bytes, len);
   StatsReplyWire msg;
-  if (!r.GetU64(&msg.accepted_connections) || !r.GetU64(&msg.requests_ok) ||
-      !r.GetU64(&msg.requests_error) || !r.GetU64(&msg.busy_rejected) ||
-      !r.GetU64(&msg.timed_out) || !r.GetU64(&msg.protocol_errors)) {
+  if (!r.U64(&msg.accepted_connections) || !r.U64(&msg.requests_ok) ||
+      !r.U64(&msg.requests_error) || !r.U64(&msg.busy_rejected) ||
+      !r.U64(&msg.timed_out) || !r.U64(&msg.protocol_errors)) {
     return Malformed("stats reply");
   }
   for (EndpointStatsWire& e : msg.endpoints) {
-    if (!r.GetU64(&e.count) || !r.GetU64(&e.p50_us) || !r.GetU64(&e.p95_us) ||
-        !r.GetU64(&e.p99_us)) {
+    if (!r.U64(&e.count) || !r.U64(&e.p50_us) || !r.U64(&e.p95_us) ||
+        !r.U64(&e.p99_us)) {
       return Malformed("stats reply");
     }
   }
-  if (!r.GetU64(&msg.coalesced_requests) ||
-      !r.GetU64(&msg.coalesce_batch.count) ||
-      !r.GetU64(&msg.coalesce_batch.p50_us) ||
-      !r.GetU64(&msg.coalesce_batch.p95_us) ||
-      !r.GetU64(&msg.coalesce_batch.p99_us)) {
+  if (!r.U64(&msg.coalesced_requests) || !r.U64(&msg.coalesce_batch.count) ||
+      !r.U64(&msg.coalesce_batch.p50_us) ||
+      !r.U64(&msg.coalesce_batch.p95_us) ||
+      !r.U64(&msg.coalesce_batch.p99_us)) {
     return Malformed("stats reply");
   }
   uint8_t has_collection;
-  if (!r.GetU8(&has_collection)) return Malformed("stats reply");
+  if (!r.U8(&has_collection)) return Malformed("stats reply");
   if (has_collection > 1) return Malformed("stats reply");
   msg.has_collection = has_collection == 1;
   if (msg.has_collection) {
-    if (!r.GetU64(&msg.total_rows) || !r.GetU64(&msg.stored_rows) ||
-        !r.GetU64(&msg.live_rows) || !r.GetU64(&msg.tombstoned_rows) ||
-        !r.GetU64(&msg.num_shards) || !r.GetU64(&msg.num_sealed_segments)) {
+    if (!r.U64(&msg.total_rows) || !r.U64(&msg.stored_rows) ||
+        !r.U64(&msg.live_rows) || !r.U64(&msg.tombstoned_rows) ||
+        !r.U64(&msg.num_shards) || !r.U64(&msg.num_sealed_segments)) {
       return Malformed("stats reply");
     }
   }
@@ -464,27 +377,28 @@ Status DecodeStatsReply(const uint8_t* bytes, size_t len, StatsReplyWire* out) {
 
 std::vector<uint8_t> EncodeErrorReply(const ErrorReplyWire& msg) {
   std::vector<uint8_t> out;
-  PutU8(&out, static_cast<uint8_t>(msg.code));
-  PutU32(&out, static_cast<uint32_t>(msg.message.size()));
-  out.insert(out.end(), msg.message.begin(), msg.message.end());
+  ByteWriter w(&out);
+  w.U8(static_cast<uint8_t>(msg.code));
+  w.U32(static_cast<uint32_t>(msg.message.size()));
+  w.Bytes(reinterpret_cast<const uint8_t*>(msg.message.data()),
+          msg.message.size());
   return out;
 }
 
 Status DecodeErrorReply(const uint8_t* bytes, size_t len, ErrorReplyWire* out) {
-  Reader r(bytes, len);
+  ByteReader r(bytes, len);
   ErrorReplyWire msg;
   uint8_t code;
-  if (!r.GetU8(&code)) return Malformed("error reply");
+  if (!r.U8(&code)) return Malformed("error reply");
   if (code > static_cast<uint8_t>(StatusCode::kNotSupported) ||
       code == static_cast<uint8_t>(StatusCode::kOk)) {
     return Malformed("error reply");
   }
   msg.code = static_cast<StatusCode>(code);
   uint32_t msg_len;
-  if (!r.GetU32(&msg_len)) return Malformed("error reply");
+  if (!r.U32(&msg_len)) return Malformed("error reply");
   if (r.remaining() != msg_len) return Malformed("error reply");
-  msg.message.assign(reinterpret_cast<const char*>(bytes + (len - msg_len)),
-                     msg_len);
+  msg.message.assign(reinterpret_cast<const char*>(r.cursor()), msg_len);
   *out = std::move(msg);
   return Status::OK();
 }

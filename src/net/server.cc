@@ -12,6 +12,7 @@
 #include <map>
 #include <utility>
 
+#include "common/binary_io.h"
 #include "common/logging.h"
 #include "vdms/vdms.h"
 
@@ -408,8 +409,11 @@ std::optional<VdtServer::WorkItem> VdtServer::ServeSearchCoalesced(
   // for late arrivals once the queue runs dry. Batch breakers: non-Search
   // ops and incompatible Searches (returned to the worker loop unserved),
   // expired timeouts and undecodable payloads (answered here, terminal).
+  // A zero-row Search is served alone: it has no queries to share, and it
+  // is OK at any dim, while rows of a dim the collection cannot serve fail
+  // the whole batch.
   std::optional<WorkItem> breaker;
-  while (total_queries < options_.coalesce_max) {
+  while (total_queries > 0 && total_queries < options_.coalesce_max) {
     WorkItem next;
     if (!queue.TryPop(&next)) {
       if (options_.coalesce_window_us <= 0 ||
@@ -432,8 +436,8 @@ std::optional<VdtServer::WorkItem> VdtServer::ServeSearchCoalesced(
       break;
     }
     const bool compatible =
-        wire.collection == key.collection && wire.k == key.k &&
-        wire.has_knobs == key.has_knobs &&
+        wire.queries.rows() > 0 && wire.collection == key.collection &&
+        wire.k == key.k && wire.has_knobs == key.has_knobs &&
         (!wire.has_knobs ||
          (wire.nprobe == key.nprobe && wire.ef == key.ef &&
           wire.reorder_k == key.reorder_k)) &&
@@ -560,11 +564,7 @@ void VdtServer::ServeRequest(const WorkItem& item) {
         error = stats.status();
         break;
       }
-      reply.resize(8);
-      const uint64_t total = stats->total_rows;
-      for (int i = 0; i < 8; ++i) {
-        reply[i] = static_cast<uint8_t>(total >> (8 * i));
-      }
+      ByteWriter(&reply).U64(stats->total_rows);
       break;
     }
     case Op::kDelete: {
@@ -575,11 +575,7 @@ void VdtServer::ServeRequest(const WorkItem& item) {
       size_t deleted = 0;
       error = engine_->Delete(wire.collection, wire.ids, &deleted);
       if (!error.ok()) break;
-      reply.resize(8);
-      for (int i = 0; i < 8; ++i) {
-        reply[i] = static_cast<uint8_t>(static_cast<uint64_t>(deleted) >>
-                                        (8 * i));
-      }
+      ByteWriter(&reply).U64(deleted);
       break;
     }
     case Op::kStats: {

@@ -86,9 +86,10 @@ struct ServerOptions {
 
   /// Request coalescing: a worker that dequeues a Search greedily drains
   /// further *compatible* queued Searches (same collection, k, knob-override
-  /// triple, and query dim) and executes them as one engine batch, then
-  /// demultiplexes per-request replies — byte-for-byte identical to
-  /// uncoalesced execution. This caps the total *query* count of one batch;
+  /// triple, and query dim; zero-row Searches are served alone) and
+  /// executes them as one engine batch, then demultiplexes per-request
+  /// replies — byte-for-byte identical to uncoalesced execution, typed
+  /// errors included. This caps the total *query* count of one batch;
   /// <= 1 disables coalescing entirely (the pre-coalescing serve path).
   size_t coalesce_max = 32;
 

@@ -72,9 +72,9 @@ struct CollectionStats {
 /// Replaces the positional `Search(name, query, k, counters)` signature.
 struct SearchRequest {
   /// The query batch, one query per row; result i corresponds to Row(i).
-  /// Owned by the request (requests are self-contained values); for very
-  /// large borrowed batches, Collection::SearchBatch takes the matrix by
-  /// reference.
+  /// Usually owned by the request (requests are self-contained values); a
+  /// caller that already holds the rows may pass a FloatMatrix::Borrow view
+  /// instead, which must outlive the search.
   FloatMatrix queries;
 
   /// Neighbors returned per query.

@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/parallel_executor.h"
 #include "index/kernels/kernels.h"
-#include "index/topk.h"
 #include "storage/collection_store.h"
 
 namespace vdt {
@@ -460,37 +458,8 @@ void Collection::Publish() {
   snapshot_ = std::move(snap);
 }
 
-std::vector<Neighbor> Collection::Search(const float* query, size_t k,
-                                         WorkCounters* counters) const {
-  return Snapshot()->SearchOne(query, k, counters);
-}
-
-std::vector<std::vector<Neighbor>> Collection::SearchBatch(
-    const FloatMatrix& queries, size_t k, WorkCounters* counters,
-    ParallelExecutor* executor) const {
-  const std::shared_ptr<const CollectionSnapshot> snap = Snapshot();
-  if (queries.rows() > 0 && snap->dim != 0 && queries.dim() != snap->dim) {
-    VDT_LOG(kWarning) << "Collection::SearchBatch: query dim "
-                      << queries.dim() << " != collection dim " << snap->dim
-                      << "; returning empty results";
-    return std::vector<std::vector<Neighbor>>(queries.rows());
-  }
-  if (k == 0) {
-    VDT_LOG(kWarning)
-        << "Collection::SearchBatch: k must be > 0; returning empty results";
-    return std::vector<std::vector<Neighbor>>(queries.rows());
-  }
-  // The whole batch runs against one snapshot, so concurrent mutations
-  // never tear it. Delegates to the scatter/gather engine: one task per
-  // (query, shard) pair, per-query gathers in shard order.
-  SearchResponse response = snap->Execute(queries, k, nullptr, nullptr,
-                                          executor);
-  if (counters != nullptr) counters->Add(response.work);
-  return std::move(response.neighbors);
-}
-
-SearchResponse Collection::Search(const SearchRequest& request,
-                                  ParallelExecutor* executor) const {
+Result<SearchResponse> Collection::Search(const SearchRequest& request,
+                                          ParallelExecutor* executor) const {
   return Snapshot()->Search(request, executor);
 }
 

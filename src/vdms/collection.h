@@ -12,7 +12,7 @@
 //    (insertBufSize, segment_maxSize * sealProportion) apply per shard.
 //  - Searches scatter across the shards and gather per-shard top-k lists
 //    through a deterministic (distance, id) merge — see
-//    CollectionSnapshot::Execute. num_shards == 1 reproduces the
+//    CollectionSnapshot::Search. num_shards == 1 reproduces the
 //    pre-sharding single-chain behavior bit-for-bit.
 //
 // Concurrency model (snapshot isolation):
@@ -20,12 +20,11 @@
 //    OverrideRuntimeSystem) serialize on a per-collection writer mutex,
 //    build the next state copy-on-write, and publish an immutable
 //    CollectionSnapshot (all shards at once, atomically) at the end.
-//  - Reads (Search, SearchBatch, the typed Search(SearchRequest), Stats)
-//    grab the current snapshot and run entirely against it: no collection
-//    lock is held while searching, so searches proceed concurrently with
-//    each other and with any mutation — including Compact, which frees a
-//    rewritten segment only when the last in-flight reader drops its
-//    snapshot.
+//  - Reads (Search, Stats) grab the current snapshot and run entirely
+//    against it: no collection lock is held while searching, so searches
+//    proceed concurrently with each other and with any mutation — including
+//    Compact, which frees a rewritten segment only when the last in-flight
+//    reader drops its snapshot.
 #ifndef VDTUNER_VDMS_COLLECTION_H_
 #define VDTUNER_VDMS_COLLECTION_H_
 
@@ -168,31 +167,13 @@ class Collection {
   /// concurrent writers; holding it pins the segment memory it references.
   std::shared_ptr<const CollectionSnapshot> Snapshot() const;
 
-  /// Merged top-k over *live* rows across every shard; tombstoned rows
-  /// never surface. Lock-free snapshot read. Invalid arguments (k == 0)
-  /// log a warning and return empty instead of invoking UB.
-  std::vector<Neighbor> Search(const float* query, size_t k,
-                               WorkCounters* counters) const;
-
-  /// Search() for every row of `queries`, scattered one task per
-  /// (query, shard) pair across `executor` (ParallelExecutor::Global() when
-  /// null). Result i corresponds to queries.Row(i); results and the counter
-  /// aggregate are identical to calling Search() sequentially in row order,
-  /// at any executor width and shard count. The whole batch runs against
-  /// one snapshot. A query dimension that does not match the collection (or
-  /// k == 0) logs a warning and returns one empty result per query instead
-  /// of invoking UB.
-  std::vector<std::vector<Neighbor>> SearchBatch(
-      const FloatMatrix& queries, size_t k, WorkCounters* counters,
-      ParallelExecutor* executor = nullptr) const;
-
-  /// Typed entry point: executes `request` against the current snapshot
-  /// (see CollectionSnapshot::Search). The response carries per-query
-  /// counters and the stats of the snapshot that served it. A per-request
-  /// knob override (request.params) is resolved once and applied
-  /// identically on every shard.
-  SearchResponse Search(const SearchRequest& request,
-                        ParallelExecutor* executor = nullptr) const;
+  /// The one read on a collection: executes `request` against the current
+  /// snapshot (see CollectionSnapshot::Search for the scatter/gather and
+  /// the typed-error contract). Lock-free: the whole batch runs against one
+  /// snapshot, so concurrent mutations never tear it. The response carries
+  /// per-query counters and the stats of the snapshot that served it.
+  Result<SearchResponse> Search(const SearchRequest& request,
+                                ParallelExecutor* executor = nullptr) const;
 
   /// Re-applies search-time index knobs (nprobe/ef/reorder_k) without
   /// rebuilding — used by the evaluator's build cache. Publishes a new

@@ -1,8 +1,8 @@
 #include "vdms/snapshot.h"
 
 #include <cassert>
+#include <string>
 
-#include "common/logging.h"
 #include "common/parallel_executor.h"
 #include "index/topk.h"
 
@@ -95,9 +95,9 @@ std::vector<Neighbor> ShardView::Search(Metric metric, const float* query,
                                         size_t k, WorkCounters* counters,
                                         const IdFilter* id_filter,
                                         const IndexParams* knobs) const {
-  // Knob-override contract: the caller (SearchOne/Execute) resolves any
-  // per-request override exactly once and hands every shard of the scatter
-  // the same effective knobs — a shard never falls back on its own.
+  // Knob-override contract: the caller (CollectionSnapshot::Search) resolves
+  // any per-request override exactly once and hands every shard of the
+  // scatter the same effective knobs — a shard never falls back on its own.
   assert(knobs != nullptr &&
          "ShardView::Search requires caller-resolved knobs");
   TopKCollector merged(k);
@@ -123,70 +123,29 @@ std::vector<Neighbor> ShardView::Search(Metric metric, const float* query,
   return merged.Take();
 }
 
-std::vector<Neighbor> CollectionSnapshot::SearchOne(
-    const float* query, size_t k, WorkCounters* counters,
-    const IdFilter* id_filter, const IndexParams* knobs) const {
-  if (k == 0 || query == nullptr) {
-    VDT_LOG(kWarning) << "CollectionSnapshot::SearchOne: invalid arguments "
-                      << "(k=" << k
-                      << (query == nullptr ? ", null query" : "")
-                      << "); returning empty";
-    return {};
-  }
-  // Resolve the override once; every shard searches under the same knobs.
-  const IndexParams* effective = knobs != nullptr ? knobs : &params;
-
-  // Scatter across the shards in shard order, then gather: MergeTopK's
-  // (distance, id) total order makes the merged result independent of shard
-  // count and shard order (one shard reduces to the single-chain search).
-  std::vector<std::vector<Neighbor>> lists;
-  lists.reserve(shards.size());
-  size_t offered = 0;
-  for (const ShardView& shard : shards) {
-    lists.push_back(
-        shard.Search(metric, query, k, counters, id_filter, effective));
-    offered += lists.back().size();
-  }
-  if (counters != nullptr) counters->gather_candidates += offered;
-  return MergeTopK(std::move(lists), k);
-}
-
-SearchResponse CollectionSnapshot::Search(const SearchRequest& request,
-                                          ParallelExecutor* executor) const {
-  return Execute(request.queries, request.k,
-                 request.filter ? &request.filter : nullptr,
-                 request.params.has_value() ? &request.params.value() : nullptr,
-                 executor);
-}
-
-SearchResponse CollectionSnapshot::Execute(const FloatMatrix& queries,
-                                           size_t k,
-                                           const IdFilter* id_filter,
-                                           const IndexParams* knobs,
-                                           ParallelExecutor* executor) const {
-  SearchResponse response;
+Result<SearchResponse> CollectionSnapshot::Search(
+    const SearchRequest& request, ParallelExecutor* executor) const {
+  const FloatMatrix& queries = request.queries;
+  const size_t k = request.k;
   const size_t nq = queries.rows();
+  if (k == 0) return Status::InvalidArgument("search: k must be > 0");
+  if (nq > 0 && dim != 0 && queries.dim() != dim) {
+    return Status::InvalidArgument(
+        "search: query dim " + std::to_string(queries.dim()) +
+        " != collection dim " + std::to_string(dim));
+  }
+  SearchResponse response;
   response.neighbors.resize(nq);
   response.query_work.resize(nq);
   response.stats = stats;
-  if (nq == 0 || shards.empty()) return response;
-
-  if (dim != 0 && queries.dim() != dim) {
-    VDT_LOG(kWarning) << "CollectionSnapshot::Search: query dim "
-                      << queries.dim() << " != collection dim " << dim
-                      << "; returning empty results";
-    return response;
-  }
-  if (k == 0) {
-    VDT_LOG(kWarning)
-        << "CollectionSnapshot::Search: k must be > 0; returning empty results";
-    return response;
-  }
+  if (nq == 0) return response;
 
   // Resolve the per-request override once, up front. The scatter below
   // hands this same pointer to every (query, shard) task, which is what
   // guarantees overrides apply identically on every shard.
-  const IndexParams* effective = knobs != nullptr ? knobs : &params;
+  const IndexParams* effective =
+      request.params.has_value() ? &request.params.value() : &params;
+  const IdFilter* id_filter = request.filter ? &request.filter : nullptr;
   const size_t num_shards = shards.size();
 
   // Scatter: one task per (query, shard) pair — a single slow shard no

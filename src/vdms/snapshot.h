@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/float_matrix.h"
+#include "common/status.h"
 #include "vdms/api.h"
 #include "vdms/segment.h"
 #include "vdms/system_config.h"
@@ -145,38 +146,28 @@ struct ShardView {
 /// snapshot concurrently.
 class CollectionSnapshot {
  public:
-  /// Merged top-k over live rows across every shard's sealed segments,
-  /// growing chunks, and buffer copy; tombstoned rows never surface.
-  /// Scatters sequentially across the shards and gathers through MergeTopK
-  /// — bit-identical to the scatter Execute() runs in parallel.
-  /// `id_filter` (may be null) additionally restricts results to collection
-  /// ids it accepts; `knobs` (null = this snapshot's params) overrides
-  /// search-time index parameters, applied identically on every shard.
-  /// Invalid arguments (k == 0, null query) log a warning and return empty
-  /// instead of invoking UB.
-  std::vector<Neighbor> SearchOne(const float* query, size_t k,
-                                  WorkCounters* counters,
-                                  const IdFilter* id_filter = nullptr,
-                                  const IndexParams* knobs = nullptr) const;
-
-  /// Executes a typed request against this snapshot: the scatter runs one
-  /// task per (query, shard) pair across `executor`
-  /// (ParallelExecutor::Global() when null), per-shard partials land in
-  /// pre-sized slots, and each query's gather folds its shard lists (and
-  /// counters) in shard order before the per-query results fold in query
-  /// order. Results and the counter aggregate are therefore bit-identical
-  /// to a sequential loop at any executor width. A query dimension mismatch
-  /// (or k == 0) logs a warning and returns one empty result per query.
-  SearchResponse Search(const SearchRequest& request,
-                        ParallelExecutor* executor = nullptr) const;
-
-  /// The zero-copy core behind Search(): executes `queries` (borrowed by
-  /// reference; must outlive the call) with explicit filter/knob pointers
-  /// (either may be null). Replay-style callers that already own a query
-  /// matrix use this to avoid copying it into a SearchRequest.
-  SearchResponse Execute(const FloatMatrix& queries, size_t k,
-                         const IdFilter* id_filter, const IndexParams* knobs,
-                         ParallelExecutor* executor) const;
+  /// The one scatter/gather: executes a typed request against this
+  /// snapshot. Each query's merged top-k covers the live rows of every
+  /// shard's sealed segments, growing chunks, and buffer copy; tombstoned
+  /// rows never surface. `request.filter` (empty = none) restricts results
+  /// to the collection ids it accepts; `request.params` (unset = this
+  /// snapshot's params) overrides the search-time index knobs, resolved
+  /// once and applied identically on every shard.
+  ///
+  /// The scatter runs one task per (query, shard) pair across `executor`
+  /// (ParallelExecutor::Global() when null; inline when the caller is
+  /// itself running executor items), per-shard partials land in pre-sized
+  /// slots, and each query's gather folds its shard lists (and counters) in
+  /// shard order before the per-query results fold in query order. Results
+  /// and the counter aggregate are therefore bit-identical to a sequential
+  /// loop at any executor width. `request.queries` may be a borrowed view
+  /// (FloatMatrix::Borrow); it is read only during the call.
+  ///
+  /// Bad input is a typed InvalidArgument: k == 0, or a non-empty batch
+  /// whose dim differs from a non-empty collection's dim. A zero-row batch
+  /// is OK with zero result slots.
+  Result<SearchResponse> Search(const SearchRequest& request,
+                                ParallelExecutor* executor = nullptr) const;
 
   // --- state (filled by Collection::Publish, immutable afterwards) ---
   /// One entry per shard; size() == stats.num_shards >= 1 always (a fresh

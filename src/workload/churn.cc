@@ -196,11 +196,17 @@ ChurnReplayResult ReplayChurn(Collection* collection,
       batch.AppendRow(workload.queries.Row(workload.ops[q].query),
                       workload.queries.dim());
     }
-    const SearchResponse response = collection->Search(
+    const Result<SearchResponse> response = collection->Search(
         SearchRequest::Batch(std::move(batch), workload.k), executor);
-    total.Add(response.work);
+    if (!response.ok()) {
+      result.failed = true;
+      result.fail_reason = response.status().ToString();
+      return result;
+    }
+    total.Add(response->work);
     for (size_t q = i; q < j; ++q) {
-      recall_sum += RecallAtK(response.neighbors[q - i], workload.ops[q].truth);
+      recall_sum +=
+          RecallAtK(response->neighbors[q - i], workload.ops[q].truth);
       ++result.searches;
     }
     i = j;

@@ -26,22 +26,46 @@ ReplayResult ReplayWorkload(const Collection& collection,
 
   double recall_sum = 0.0;
   WorkCounters total;
+  // Requests view the workload's query rows (FloatMatrix::Borrow), so
+  // nothing is copied per replay.
+  const auto borrow = [&workload](size_t first, size_t rows) {
+    SearchRequest request;
+    request.queries = FloatMatrix::Borrow(workload.queries.Row(first), rows,
+                                          workload.queries.dim(), nullptr);
+    request.k = workload.k;
+    return request;
+  };
+  const auto fail = [&result](const Status& status) {
+    result.failed = true;
+    result.fail_reason = status.ToString();
+    return result;
+  };
 
   if (options.mode == ReplayMode::kMeasured) {
     // Wall-clock replay with `concurrency` workers pulling from a shared
-    // queue (the vector-db-benchmark client model).
+    // queue (the vector-db-benchmark client model). Each query is a one-row
+    // request on the same pool, so its shard scatter runs inline on the
+    // worker that claimed it.
     std::mutex agg_mu;
+    Status error;
     Stopwatch timer;
     ParallelExecutor pool(static_cast<size_t>(std::max(1, workload.concurrency)));
     pool.ParallelFor(nq, [&](size_t q) {
-      WorkCounters local;
-      auto hits = collection.Search(workload.queries.Row(q), workload.k, &local);
-      const double r = RecallAtK(hits, workload.ground_truth[q]);
+      const Result<SearchResponse> response =
+          collection.Search(borrow(q, 1), &pool);
+      const double r = response.ok() ? RecallAtK(response->top(),
+                                                 workload.ground_truth[q])
+                                     : 0.0;
       std::lock_guard<std::mutex> lock(agg_mu);
+      if (!response.ok()) {
+        error = response.status();
+        return;
+      }
       recall_sum += r;
-      total.Add(local);
+      total.Add(response->work);
     });
     const double wall = timer.ElapsedSeconds();
+    if (!error.ok()) return fail(error);
     result.qps = static_cast<double>(nq) / std::max(1e-9, wall);
     result.replay_seconds = wall;
   } else {
@@ -55,15 +79,14 @@ ReplayResult ReplayWorkload(const Collection& collection,
       dedicated = std::make_unique<ParallelExecutor>(options.batch_threads);
       executor = dedicated.get();
     }
-    // Borrowing form of the typed surface: the workload owns the query
-    // matrix, so nothing is copied per evaluation.
-    const SearchResponse response = collection.Snapshot()->Execute(
-        workload.queries, workload.k, nullptr, nullptr, executor);
+    const Result<SearchResponse> response =
+        collection.Search(borrow(0, nq), executor);
+    if (!response.ok()) return fail(response.status());
     for (size_t q = 0; q < nq; ++q) {
-      recall_sum += RecallAtK(response.neighbors[q], workload.ground_truth[q]);
+      recall_sum += RecallAtK(response->neighbors[q], workload.ground_truth[q]);
     }
-    total = response.work;
-    stats = response.stats;
+    total = response->work;
+    stats = response->stats;
     result.qps = ComputeQps(options.cost, total, nq, collection.dim(), stats,
                             system, workload.concurrency);
     result.replay_seconds =

@@ -309,7 +309,7 @@ const uint64_t* PinnedDigest(const GraphPin& pin, const std::string& backend) {
 // bits; a construction change that moves one link, or reorders one list,
 // changes a digest. The digests were recorded when every back-link overflow
 // re-ran the selection from scratch, so they also pin the incremental
-// re-prune as exact. Backends without a recorded digest (neon) are skipped.
+// re-prune as exact. Backends without a recorded digest are skipped.
 TEST(HnswBuildParityTest, GraphBytesPinnedPerBackend) {
   const GraphPin pins[] = {
       {"autoindex_profile_seq", Metric::kAngular, true, 1000, 32, 0, 16, 128,
@@ -393,18 +393,21 @@ TEST(CollectionBuildParityTest, BuildThreadsChangesNothingObservable) {
   auto par = make_collection(4);
   ASSERT_GT(seq->Stats().num_indexed_segments, 0u);
 
-  WorkCounters wseq, wpar;
-  const auto a = seq->SearchBatch(queries, 10, &wseq);
-  const auto b = par->SearchBatch(queries, 10, &wpar);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t q = 0; q < a.size(); ++q) {
-    ASSERT_EQ(a[q].size(), b[q].size()) << q;
-    for (size_t i = 0; i < a[q].size(); ++i) {
-      EXPECT_EQ(a[q][i].id, b[q][i].id) << q;
-      EXPECT_EQ(a[q][i].distance, b[q][i].distance) << q;
+  const Result<SearchResponse> a =
+      seq->Search(SearchRequest::Batch(queries, 10));
+  const Result<SearchResponse> b =
+      par->Search(SearchRequest::Batch(queries, 10));
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(a->neighbors.size(), b->neighbors.size());
+  for (size_t q = 0; q < a->neighbors.size(); ++q) {
+    ASSERT_EQ(a->neighbors[q].size(), b->neighbors[q].size()) << q;
+    for (size_t i = 0; i < a->neighbors[q].size(); ++i) {
+      EXPECT_EQ(a->neighbors[q][i].id, b->neighbors[q][i].id) << q;
+      EXPECT_EQ(a->neighbors[q][i].distance, b->neighbors[q][i].distance)
+          << q;
     }
   }
-  EXPECT_EQ(wseq.Total(), wpar.Total());
+  EXPECT_EQ(a->work.Total(), b->work.Total());
   EXPECT_EQ(seq->Stats().index_bytes_actual, par->Stats().index_bytes_actual);
 }
 

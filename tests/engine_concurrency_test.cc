@@ -21,6 +21,7 @@ namespace vdt {
 namespace {
 
 using testing_util::RandomMatrix;
+using testing_util::SearchOne;
 using testing_util::TempDir;
 
 constexpr size_t kDim = 8;
@@ -285,7 +286,7 @@ TEST(EngineConcurrencyTest, HandleChurnRacesDropSafely) {
       if (!opened.ok()) return;  // already dropped: fine
       CollectionHandle handle = std::move(*opened);
       CollectionHandle copy = handle;  // copies count
-      const auto hits = copy->Search(queries.Row(i % 2), 2, nullptr);
+      const auto hits = SearchOne(*copy, queries.Row(i % 2), 2, nullptr);
       EXPECT_LE(hits.size(), 2u);
       // Both handles release at scope exit.
     }

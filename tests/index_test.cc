@@ -253,12 +253,13 @@ INSTANTIATE_TEST_SUITE_P(
       return IndexTypeName(info.param.type);
     });
 
-// SearchBatch must be a drop-in replacement for the sequential Search loop:
-// identical hits, identical order, identical work counters — on every
-// backend, with a thread pool wider than one.
-class SearchBatchParityTest : public ::testing::TestWithParam<IndexType> {};
+// Searches of one built index may run concurrently (the snapshot scatter
+// relies on it): the same queries searched from a 4-thread pool return the
+// hits, order and work counters of a sequential loop — on every backend.
+class ConcurrentSearchParityTest
+    : public ::testing::TestWithParam<IndexType> {};
 
-TEST_P(SearchBatchParityTest, MatchesSequentialSearch) {
+TEST_P(ConcurrentSearchParityTest, MatchesSequentialSearch) {
   const IndexType type = GetParam();
   const size_t n = 900, dim = 24, k = 10, nq = 37;  // nq not a pool multiple
   FloatMatrix data = ClusteredMatrix(n, dim, 12, 0.25, 21);
@@ -284,27 +285,34 @@ TEST_P(SearchBatchParityTest, MatchesSequentialSearch) {
 
   ParallelExecutor executor(4);
   ASSERT_GT(executor.num_threads(), 1u);
-  WorkCounters batch_wc;
-  auto batch = index->SearchBatch(queries, k, &batch_wc, &executor);
+  std::vector<std::vector<Neighbor>> concurrent(nq);
+  std::vector<WorkCounters> per_query(nq);
+  executor.ParallelFor(nq, [&](size_t q) {
+    concurrent[q] = index->Search(queries.Row(q), k, &per_query[q]);
+  });
+  WorkCounters concurrent_wc;
+  for (const WorkCounters& wc : per_query) concurrent_wc.Add(wc);
 
-  ASSERT_EQ(batch.size(), nq);
   for (size_t q = 0; q < nq; ++q) {
-    ASSERT_EQ(batch[q].size(), expected[q].size()) << "query " << q;
-    for (size_t i = 0; i < batch[q].size(); ++i) {
-      EXPECT_EQ(batch[q][i].id, expected[q][i].id) << "query " << q;
-      EXPECT_EQ(batch[q][i].distance, expected[q][i].distance) << "query " << q;
+    const std::vector<Neighbor>& hits = concurrent[q];
+    ASSERT_EQ(hits.size(), expected[q].size()) << "query " << q;
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].id, expected[q][i].id) << "query " << q;
+      EXPECT_EQ(hits[i].distance, expected[q][i].distance) << "query " << q;
     }
   }
-  EXPECT_EQ(batch_wc.Total(), seq_wc.Total());
-  EXPECT_EQ(batch_wc.full_distance_evals, seq_wc.full_distance_evals);
-  EXPECT_EQ(batch_wc.graph_hops, seq_wc.graph_hops);
+  EXPECT_EQ(concurrent_wc.Total(), seq_wc.Total());
+  EXPECT_EQ(concurrent_wc.full_distance_evals, seq_wc.full_distance_evals);
+  EXPECT_EQ(concurrent_wc.graph_hops, seq_wc.graph_hops);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, SearchBatchParityTest,
+INSTANTIATE_TEST_SUITE_P(AllBackends, ConcurrentSearchParityTest,
                          ::testing::Values(IndexType::kFlat,
                                            IndexType::kIvfFlat,
-                                           IndexType::kHnsw,
-                                           IndexType::kScann),
+                                           IndexType::kIvfSq8,
+                                           IndexType::kIvfPq, IndexType::kHnsw,
+                                           IndexType::kScann,
+                                           IndexType::kAutoIndex),
                          [](const ::testing::TestParamInfo<IndexType>& info) {
                            return IndexTypeName(info.param);
                          });
@@ -405,22 +413,6 @@ INSTANTIATE_TEST_SUITE_P(AllTypes, FilteredCopyTest,
                          [](const ::testing::TestParamInfo<IndexType>& info) {
                            return IndexTypeName(info.param);
                          });
-
-TEST(SearchBatchTest, UsesGlobalExecutorByDefault) {
-  FloatMatrix data = RandomMatrix(200, 16, 31);
-  auto index = CreateIndex(IndexType::kFlat, Metric::kAngular, {}, 1);
-  ASSERT_TRUE(index->Build(data).ok());
-  FloatMatrix queries = RandomMatrix(9, 16, 32);
-  auto batch = index->SearchBatch(queries, 5, nullptr);
-  ASSERT_EQ(batch.size(), 9u);
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    auto expected = index->Search(queries.Row(q), 5, nullptr);
-    ASSERT_EQ(batch[q].size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(batch[q][i].id, expected[i].id);
-    }
-  }
-}
 
 TEST(FlatIndexTest, PerfectRecallAlways) {
   FloatMatrix data = RandomMatrix(300, 16, 9);

@@ -29,6 +29,7 @@ namespace {
 
 using testing_util::BackendGuard;
 using testing_util::ClusteredMatrix;
+using testing_util::SearchOne;
 
 bool HaveTwoBackends() { return kernels::AvailableBackends().size() >= 2; }
 
@@ -340,7 +341,7 @@ std::vector<std::vector<Neighbor>> RunLifecycleUnder(
   std::vector<std::vector<Neighbor>> checkpoints;
   auto search_all = [&]() {
     for (size_t q = 0; q < queries.rows(); ++q) {
-      checkpoints.push_back(coll.Search(queries.Row(q), kK, nullptr));
+      checkpoints.push_back(SearchOne(coll, queries.Row(q), kK, nullptr));
     }
   };
 

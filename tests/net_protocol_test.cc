@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -465,6 +466,43 @@ TEST(AdversarialTest, UnknownFlagBitsRejected) {
   bytes[3 + 4] = 0x80;
   SearchRequestWire out;
   EXPECT_FALSE(DecodeSearchRequest(bytes.data(), bytes.size(), &out).ok());
+}
+
+/// A collection name of exactly kMaxWireNameBytes round-trips through
+/// `encode`/`decode` byte for byte; one byte more is a typed
+/// InvalidArgument.
+template <typename Msg, typename Encoder, typename Decoder>
+void ExpectNameLimit(Msg msg, Encoder encode, Decoder decode) {
+  for (const size_t len : {size_t{kMaxWireNameBytes},
+                           size_t{kMaxWireNameBytes} + 1}) {
+    msg.collection.assign(len, 'n');
+    const std::vector<uint8_t> bytes = encode(msg);
+    Msg out;
+    const Status st = decode(bytes.data(), bytes.size(), &out);
+    if (len <= kMaxWireNameBytes) {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(out.collection, msg.collection);
+      EXPECT_EQ(encode(out), bytes);
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "len " << len;
+    }
+  }
+}
+
+TEST(AdversarialTest, NameLimitOnEveryRequestCodec) {
+  SearchRequestWire search;
+  search.k = 3;
+  search.has_knobs = true;
+  search.ef = 9;
+  search.queries = RandomMatrix(2, 4, 7);
+  ExpectNameLimit(search, EncodeSearchRequest, DecodeSearchRequest);
+  InsertRequestWire insert;
+  insert.rows = RandomMatrix(3, 4, 8);
+  ExpectNameLimit(insert, EncodeInsertRequest, DecodeInsertRequest);
+  DeleteRequestWire del;
+  del.ids = {4, -1, 9};
+  ExpectNameLimit(del, EncodeDeleteRequest, DecodeDeleteRequest);
+  ExpectNameLimit(StatsRequestWire{}, EncodeStatsRequest, DecodeStatsRequest);
 }
 
 TEST(AdversarialTest, ErrorReplyWithOkOrBogusCodeRejected) {

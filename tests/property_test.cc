@@ -26,6 +26,7 @@ namespace {
 
 using testing_util::ClusteredMatrix;
 using testing_util::RandomMatrix;
+using testing_util::SearchOne;
 
 // ---------------------------------------------------------------- layouts
 
@@ -62,7 +63,7 @@ TEST_P(CollectionLayoutTest, FlatSearchIsExactUnderAnyLayout) {
   for (size_t q = 0; q < queries.rows(); ++q) {
     const auto expected =
         BruteForceSearch(data, Metric::kAngular, queries.Row(q), k, nullptr);
-    const auto got = coll.Search(queries.Row(q), k, nullptr);
+    const auto got = SearchOne(coll, queries.Row(q), k, nullptr);
     ASSERT_EQ(got.size(), expected.size());
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].id, expected[i].id) << "query " << q << " rank " << i;
@@ -101,7 +102,7 @@ TEST_P(CollectionLayoutTest, IdsArePreservedAndUnique) {
   // Self-query: every stored vector must find itself (distance ~0).
   std::set<int64_t> found;
   for (size_t i = 0; i < n; i += 37) {
-    const auto hits = coll.Search(data.Row(i), 1, nullptr);
+    const auto hits = SearchOne(coll, data.Row(i), 1, nullptr);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0].id, static_cast<int64_t>(i));
     EXPECT_LT(hits[0].distance, 1e-5f);
@@ -212,7 +213,7 @@ TEST_P(LifecycleOracleTest, FilteredSearchMatchesLiveSetOracle) {
   size_t searches = 0;
   auto check_searches = [&]() {
     for (size_t q = 0; q < queries.rows(); q += 3) {
-      const auto got = coll.Search(queries.Row(q), k, nullptr);
+      const auto got = SearchOne(coll, queries.Row(q), k, nullptr);
       const auto expected = oracle.TopK(queries.Row(q), k);
       const size_t live = oracle.live();
       ASSERT_LE(got.size(), std::min(k, live));
@@ -290,10 +291,10 @@ TEST_P(LifecycleOracleTest, FilteredSearchMatchesLiveSetOracle) {
 /// The query batch's answers and per-query work, served from one snapshot.
 SearchResponse SearchAll(const Collection& coll, const FloatMatrix& queries,
                          size_t k) {
-  SearchRequest request;
-  request.queries = queries;
-  request.k = k;
-  return coll.Search(request);
+  Result<SearchResponse> response =
+      coll.Search(SearchRequest::Batch(queries, k));
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  return response.ok() ? std::move(response).value() : SearchResponse{};
 }
 
 /// Same neighbors (ids and distance bits) and the same work, query by query.

@@ -253,13 +253,15 @@ TEST(ServingTest, TypedErrorsCrossTheWire) {
       client.Search("nope", SearchRequest::Batch(RandomMatrix(1, 8, 4), 3));
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 
-  // Dim mismatch is the engine's empty-results contract (not an error) —
-  // the wire path must mirror in-process behavior exactly, including here.
-  auto bad_dim =
-      client.Search("c", SearchRequest::Batch(RandomMatrix(1, 16, 4), 3));
-  ASSERT_TRUE(bad_dim.ok());
-  ASSERT_EQ(bad_dim->neighbors.size(), 1u);
-  EXPECT_TRUE(bad_dim->neighbors[0].empty());
+  // A dim mismatch is the engine's typed InvalidArgument; it crosses the
+  // wire as the in-process status, counted as an error reply.
+  const SearchRequest bad_dim_request =
+      SearchRequest::Batch(RandomMatrix(1, 16, 4), 3);
+  const uint64_t errors_before = server.counters().requests_error.load();
+  auto bad_dim = client.Search("c", bad_dim_request);
+  EXPECT_EQ(bad_dim.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_dim.status(), engine.Search("c", bad_dim_request).status());
+  EXPECT_EQ(server.counters().requests_error.load(), errors_before + 1);
 
   // k == 0 is rejected at the protocol layer with a typed error.
   auto zero_k =
@@ -665,6 +667,69 @@ TEST(ServingTest, CoalesceDrainsCompatibleAndBreaksOnMismatch) {
   EXPECT_EQ(server.counters().coalesced_requests.load(), 2u);
   EXPECT_EQ(server.counters().requests_ok.load(), 6u);
   EXPECT_EQ(server.counters().requests_error.load(), 0u);
+  server.Stop();
+}
+
+TEST(ServingTest, CoalescingKeepsEachRequestsStandaloneOutcome) {
+  VdmsEngine engine;
+  ASSERT_TRUE(
+      engine.CreateCollection(ServingOptions("c", IndexType::kFlat, 2, 100))
+          .ok());
+  ASSERT_TRUE(engine.Insert("c", RandomMatrix(100, 8, 81)).ok());
+
+  ServerOptions options;
+  options.num_workers = 1;
+  options.queue_depth = 64;
+  options.coalesce_max = 32;
+  options.coalesce_window_us = 150000;
+  VdtServer server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // A zero-row request is OK on its own whatever its dim, while rows of the
+  // wrong dim are an InvalidArgument. Pipelined so a coalescing worker sees
+  // each pair together: ids 1-2 share k and the wrong dim 16, ids 3-4 the
+  // right dim 8.
+  const std::vector<FloatMatrix> batches = {FloatMatrix(0, 16),
+                                            RandomMatrix(1, 16, 82),
+                                            FloatMatrix(0, 8),
+                                            RandomMatrix(2, 8, 83)};
+  std::vector<uint8_t> burst;
+  for (uint32_t i = 0; i < batches.size(); ++i) {
+    SearchRequestWire wire;
+    wire.collection = "c";
+    wire.k = 3;
+    wire.queries = batches[i];
+    EncodeFrame(static_cast<uint8_t>(Op::kSearch), i + 1,
+                EncodeSearchRequest(wire), &burst);
+  }
+  const int fd = RawConnect(server.port());
+  RawSendAll(fd, burst);
+
+  // Every reply is what the request alone gets in process.
+  for (uint32_t i = 0; i < batches.size(); ++i) {
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(RawReadFrame(fd, &header, &payload)) << "request " << i + 1;
+    EXPECT_EQ(header.request_id, i + 1);
+    const auto local =
+        engine.Search("c", SearchRequest::Batch(batches[i], 3));
+    if (!local.ok()) {
+      ASSERT_EQ(header.op, kErrorOp) << "request " << i + 1;
+      ErrorReplyWire error;
+      ASSERT_TRUE(
+          DecodeErrorReply(payload.data(), payload.size(), &error).ok());
+      EXPECT_EQ(ErrorReplyToStatus(error), local.status());
+      continue;
+    }
+    ASSERT_EQ(header.op, static_cast<uint8_t>(Op::kSearch) | kReplyBit)
+        << "request " << i + 1;
+    SearchReplyWire reply;
+    ASSERT_TRUE(DecodeSearchReply(payload.data(), payload.size(), &reply).ok());
+    ExpectWireMatchesLocal(reply, *local);
+  }
+  ::close(fd);
+  EXPECT_EQ(server.counters().requests_ok.load(), 3u);
+  EXPECT_EQ(server.counters().requests_error.load(), 1u);
   server.Stop();
 }
 

@@ -23,6 +23,7 @@ namespace {
 
 using testing_util::ClusteredMatrix;
 using testing_util::RandomMatrix;
+using testing_util::SearchOne;
 
 // ------------------------------------------------------------ MergeTopK
 
@@ -156,8 +157,8 @@ TEST(ShardParityTest, ExactIndexesMatchSingleChainExactly) {
       EXPECT_EQ(sharded->num_shards(), static_cast<size_t>(shards));
       for (size_t q = 0; q < queries.rows(); ++q) {
         ExpectSameResults(
-            baseline->Search(queries.Row(q), k, nullptr),
-            sharded->Search(queries.Row(q), k, nullptr),
+            SearchOne(*baseline, queries.Row(q), k, nullptr),
+            SearchOne(*sharded, queries.Row(q), k, nullptr),
             "type=" + std::to_string(static_cast<int>(type)) +
                 " shards=" + std::to_string(shards) +
                 " q=" + std::to_string(q));
@@ -171,7 +172,7 @@ double MeanRecall(const Collection& coll, const FloatMatrix& queries,
                   size_t k, const std::vector<std::set<int64_t>>& truth) {
   double hits = 0.0;
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto result = coll.Search(queries.Row(q), k, nullptr);
+    const auto result = SearchOne(coll, queries.Row(q), k, nullptr);
     for (const Neighbor& n : result) {
       hits += truth[q].count(n.id) ? 1.0 : 0.0;
     }
@@ -192,7 +193,7 @@ TEST(ShardParityTest, ApproximateIndexesKeepRecallAcrossShardCounts) {
   auto exact = MakeSharded(data, 1, IndexType::kFlat);
   std::vector<std::set<int64_t>> truth(queries.rows());
   for (size_t q = 0; q < queries.rows(); ++q) {
-    for (const Neighbor& n : exact->Search(queries.Row(q), k, nullptr)) {
+    for (const Neighbor& n : SearchOne(*exact, queries.Row(q), k, nullptr)) {
       truth[q].insert(n.id);
     }
   }
@@ -234,8 +235,8 @@ TEST(ShardParityTest, LifecycleTimelineMatchesSingleChain) {
 
   const auto check_step = [&](const std::string& step) {
     for (size_t q = 0; q < queries.rows(); ++q) {
-      ExpectSameResults(single.Search(queries.Row(q), 10, nullptr),
-                        sharded.Search(queries.Row(q), 10, nullptr),
+      ExpectSameResults(SearchOne(single, queries.Row(q), 10, nullptr),
+                        SearchOne(sharded, queries.Row(q), 10, nullptr),
                         step + " q=" + std::to_string(q));
     }
     const CollectionStats stats = sharded.Stats();
@@ -282,7 +283,7 @@ TEST(ShardParityTest, LifecycleTimelineMatchesSingleChain) {
   // Deleted ids never surface from either layout.
   const std::set<int64_t> dead(victims.begin(), victims.end());
   for (size_t q = 0; q < queries.rows(); ++q) {
-    for (const Neighbor& n : sharded.Search(queries.Row(q), 25, nullptr)) {
+    for (const Neighbor& n : SearchOne(sharded, queries.Row(q), 25, nullptr)) {
       EXPECT_EQ(dead.count(n.id), 0u) << "q=" << q;
     }
   }
@@ -326,14 +327,16 @@ TEST(ShardParityTest, RequestKnobOverrideMatchesCollectionKnobsOnShards) {
   SearchRequest request = SearchRequest::Batch(queries, k);
   request.params = opts.index.params;
   request.params->nprobe = 9;
-  const SearchResponse with_override = overridden.Search(request);
+  const Result<SearchResponse> with_override = overridden.Search(request);
+  ASSERT_TRUE(with_override.ok());
 
   SearchRequest plain = SearchRequest::Batch(queries, k);
-  const SearchResponse without = retuned.Search(plain);
+  const Result<SearchResponse> without = retuned.Search(plain);
+  ASSERT_TRUE(without.ok());
 
-  ASSERT_EQ(with_override.neighbors.size(), without.neighbors.size());
+  ASSERT_EQ(with_override->neighbors.size(), without->neighbors.size());
   for (size_t q = 0; q < queries.rows(); ++q) {
-    ExpectSameResults(with_override.neighbors[q], without.neighbors[q],
+    ExpectSameResults(with_override->neighbors[q], without->neighbors[q],
                       "override q=" + std::to_string(q));
   }
 }
@@ -343,9 +346,11 @@ TEST(ShardParityTest, ScatterGatherWorkAccounting) {
   FloatMatrix queries = RandomMatrix(6, 16, 104);
   for (const int shards : {1, 3}) {
     auto coll = MakeSharded(data, shards);
-    WorkCounters counters;
-    const auto results = coll->SearchBatch(queries, 5, &counters);
-    ASSERT_EQ(results.size(), queries.rows());
+    const Result<SearchResponse> response =
+        coll->Search(SearchRequest::Batch(queries, 5));
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response->neighbors.size(), queries.rows());
+    const WorkCounters& counters = response->work;
     // One scatter per (query, shard) pair; the gather saw at least one
     // candidate per non-empty shard list.
     EXPECT_EQ(counters.shard_scatters, queries.rows() * shards);

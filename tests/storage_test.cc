@@ -29,6 +29,7 @@ namespace {
 using testing_util::ClusteredMatrix;
 using testing_util::FileSizeLimitGuard;
 using testing_util::RandomMatrix;
+using testing_util::SearchOne;
 using testing_util::TempDir;
 
 CollectionOptions ChurnOptions(IndexType type, size_t actual_rows,
@@ -130,7 +131,7 @@ TEST_P(RestartParityTest, ReopenedCollectionIsBitIdentical) {
     ASSERT_GT(expected_stats.num_compactions, 0u)
         << "test layout no longer crosses a compaction boundary";
     for (size_t q = 0; q < queries.rows(); ++q) {
-      expected.push_back((*handle)->Search(queries.Row(q), k, nullptr));
+      expected.push_back(SearchOne(**handle, queries.Row(q), k, nullptr));
     }
   }  // engine torn down: only the files remain
 
@@ -140,7 +141,7 @@ TEST_P(RestartParityTest, ReopenedCollectionIsBitIdentical) {
   ASSERT_TRUE(handle.ok());
   ExpectStatsEqual((*handle)->Stats(), expected_stats);
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto got = (*handle)->Search(queries.Row(q), k, nullptr);
+    const auto got = SearchOne(**handle, queries.Row(q), k, nullptr);
     ASSERT_EQ(got.size(), expected[q].size()) << "query " << q;
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].id, expected[q][i].id) << "query " << q << " rank " << i;
@@ -253,7 +254,7 @@ TEST_P(FilteredCompactionRestartTest, ReplayRegeneratesIdenticalFiles) {
           << "the last compaction no longer filters an index";
     }
     for (size_t q = 0; q < queries.rows(); ++q) {
-      expected.push_back((*handle)->Search(queries.Row(q), k, nullptr));
+      expected.push_back(SearchOne(**handle, queries.Row(q), k, nullptr));
     }
   }  // crashed: the tail lives only in the WAL
 
@@ -263,7 +264,7 @@ TEST_P(FilteredCompactionRestartTest, ReplayRegeneratesIdenticalFiles) {
   ASSERT_TRUE(handle.ok());
   ExpectStatsEqual((*handle)->Stats(), expected_stats);
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto got = (*handle)->Search(queries.Row(q), k, nullptr);
+    const auto got = SearchOne(**handle, queries.Row(q), k, nullptr);
     ASSERT_EQ(got.size(), expected[q].size()) << "query " << q;
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].id, expected[q][i].id) << "query " << q << " rank " << i;
@@ -491,7 +492,7 @@ TEST(CheckpointWriteTest, FailedSegmentWriteKeepsTheOldRoot) {
     expected_stats = (*handle)->Stats();
     ASSERT_GT(expected_stats.num_compactions, 0u);
     for (size_t q = 0; q < queries.rows(); ++q) {
-      expected.push_back((*handle)->Search(queries.Row(q), k, nullptr));
+      expected.push_back(SearchOne(**handle, queries.Row(q), k, nullptr));
     }
   }
 
@@ -501,7 +502,7 @@ TEST(CheckpointWriteTest, FailedSegmentWriteKeepsTheOldRoot) {
   ASSERT_TRUE(handle.ok());
   ExpectStatsEqual((*handle)->Stats(), expected_stats);
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto got = (*handle)->Search(queries.Row(q), k, nullptr);
+    const auto got = SearchOne(**handle, queries.Row(q), k, nullptr);
     ASSERT_EQ(got.size(), expected[q].size()) << "query " << q;
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].id, expected[q][i].id) << "query " << q << " rank " << i;
@@ -589,7 +590,7 @@ TEST(StorageTest, KnobChangesSurviveRestart) {
     sys.compaction_deleted_ratio = 0.9;
     ASSERT_TRUE((*handle)->OverrideRuntimeSystem(sys).ok());
     for (size_t q = 0; q < queries.rows(); ++q) {
-      expected.push_back((*handle)->Search(queries.Row(q), k, nullptr));
+      expected.push_back(SearchOne(**handle, queries.Row(q), k, nullptr));
     }
   }
 
@@ -600,7 +601,7 @@ TEST(StorageTest, KnobChangesSurviveRestart) {
   EXPECT_EQ((*handle)->options().index.params.nprobe, tightened.nprobe);
   EXPECT_DOUBLE_EQ((*handle)->options().system.compaction_deleted_ratio, 0.9);
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto got = (*handle)->Search(queries.Row(q), k, nullptr);
+    const auto got = SearchOne(**handle, queries.Row(q), k, nullptr);
     ASSERT_EQ(got.size(), expected[q].size());
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].id, expected[q][i].id);
@@ -704,7 +705,7 @@ TEST(StorageTest, KillStyleChurnRecoveryMatchesOracle) {
   ASSERT_TRUE(handle.ok());
   EXPECT_EQ((*handle)->Stats().live_rows, oracle.LiveIds().size());
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto got = (*handle)->Search(queries.Row(q), k, nullptr);
+    const auto got = SearchOne(**handle, queries.Row(q), k, nullptr);
     const auto expected = oracle.TopK(queries.Row(q), k);
     ASSERT_EQ(got.size(), expected.size()) << "query " << q;
     for (size_t i = 0; i < got.size(); ++i) {
@@ -944,7 +945,7 @@ TEST(StorageTest, TornWalTailIsTruncatedAndRecovered) {
     ASSERT_TRUE(engine.Insert("c", data).ok());  // WAL only, never flushed
     auto handle = engine.Open("c");
     ASSERT_TRUE(handle.ok());
-    expected = (*handle)->Search(data.Row(0), k, nullptr);
+    expected = SearchOne(**handle, data.Row(0), k, nullptr);
   }
   // A torn final record: garbage bytes appended mid-write by the "crash".
   auto names = ListDir(td.path() + "/c");
@@ -967,7 +968,7 @@ TEST(StorageTest, TornWalTailIsTruncatedAndRecovered) {
   auto handle = engine.Open("c");
   ASSERT_TRUE(handle.ok());
   EXPECT_EQ((*handle)->Stats().live_rows, n);
-  const auto got = (*handle)->Search(data.Row(0), k, nullptr);
+  const auto got = SearchOne(**handle, data.Row(0), k, nullptr);
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].id, expected[i].id);

@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/float_matrix.h"
 #include "common/random.h"
 #include "index/distance.h"
 #include "index/kernels/kernels.h"
 #include "storage/file_io.h"
+#include "vdms/collection.h"
 
 namespace vdt {
 namespace testing_util {
@@ -50,6 +52,22 @@ inline FloatMatrix ClusteredMatrix(size_t rows, size_t dim, int clusters,
     if (normalize) NormalizeVector(row, dim);
   }
   return m;
+}
+
+/// One query through the collection's one read path: a one-row
+/// SearchRequest that must succeed. Adds the response's work to `counters`
+/// (may be null) and returns the query's neighbors; a null `query` makes a
+/// zero-row request, which returns none.
+inline std::vector<Neighbor> SearchOne(const Collection& collection,
+                                       const float* query, size_t k,
+                                       WorkCounters* counters) {
+  const Result<SearchResponse> response =
+      collection.Search(SearchRequest::Single(query, collection.dim(), k));
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  if (!response.ok()) return {};
+  if (counters != nullptr) counters->Add(response->work);
+  return response->neighbors.empty() ? std::vector<Neighbor>{}
+                                     : response->neighbors[0];
 }
 
 /// Restores the active backend on scope exit, so tests that swap backends

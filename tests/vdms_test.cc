@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel_executor.h"
@@ -18,6 +19,7 @@ namespace {
 
 using testing_util::ClusteredMatrix;
 using testing_util::RandomMatrix;
+using testing_util::SearchOne;
 
 CollectionOptions SmallOptions(size_t actual_rows, double dataset_mb = 100.0) {
   CollectionOptions opts;
@@ -100,7 +102,7 @@ TEST(CollectionTest, SearchFindsExactMatches) {
   ASSERT_TRUE(coll.Flush().ok());
   // Query with a stored vector: its own id must be the top hit.
   for (size_t i = 0; i < n; i += 157) {
-    auto hits = coll.Search(data.Row(i), 1, nullptr);
+    auto hits = SearchOne(coll, data.Row(i), 1, nullptr);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0].id, static_cast<int64_t>(i));
   }
@@ -119,7 +121,7 @@ TEST(CollectionTest, SearchCoversBufferAndGrowing) {
   const CollectionStats stats = coll.Stats();
   EXPECT_EQ(stats.num_sealed_segments, 0u);
   EXPECT_GT(stats.buffered_rows, 0u);
-  auto hits = coll.Search(data.Row(999), 1, nullptr);
+  auto hits = SearchOne(coll, data.Row(999), 1, nullptr);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].id, 999);
 }
@@ -136,21 +138,23 @@ TEST(CollectionTest, SearchBatchMatchesSequentialAcrossSegmentsAndBuffer) {
   WorkCounters seq_wc;
   std::vector<std::vector<Neighbor>> expected(queries.rows());
   for (size_t q = 0; q < queries.rows(); ++q) {
-    expected[q] = c.Search(queries.Row(q), 7, &seq_wc);
+    expected[q] = SearchOne(c, queries.Row(q), 7, &seq_wc);
   }
 
   ParallelExecutor executor(4);
-  WorkCounters batch_wc;
-  auto batch = c.SearchBatch(queries, 7, &batch_wc, &executor);
-  ASSERT_EQ(batch.size(), queries.rows());
+  const Result<SearchResponse> batch =
+      c.Search(SearchRequest::Batch(queries, 7), &executor);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->neighbors.size(), queries.rows());
   for (size_t q = 0; q < queries.rows(); ++q) {
-    ASSERT_EQ(batch[q].size(), expected[q].size()) << "query " << q;
-    for (size_t i = 0; i < batch[q].size(); ++i) {
-      EXPECT_EQ(batch[q][i].id, expected[q][i].id) << "query " << q;
-      EXPECT_EQ(batch[q][i].distance, expected[q][i].distance);
+    const std::vector<Neighbor>& hits = batch->neighbors[q];
+    ASSERT_EQ(hits.size(), expected[q].size()) << "query " << q;
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].id, expected[q][i].id) << "query " << q;
+      EXPECT_EQ(hits[i].distance, expected[q][i].distance);
     }
   }
-  EXPECT_EQ(batch_wc.Total(), seq_wc.Total());
+  EXPECT_EQ(batch->work.Total(), seq_wc.Total());
 }
 
 TEST(CollectionTest, FailedIndexBuildSurfacesError) {
@@ -195,13 +199,13 @@ TEST(CollectionTest, WorkDecreasesWithFewerProbes) {
   wide.nprobe = 32;
   ASSERT_TRUE(coll.UpdateSearchParams(wide).ok());
   WorkCounters wide_wc;
-  coll.Search(data.Row(0), 10, &wide_wc);
+  SearchOne(coll, data.Row(0), 10, &wide_wc);
 
   IndexParams narrow = opts.index.params;
   narrow.nprobe = 2;
   ASSERT_TRUE(coll.UpdateSearchParams(narrow).ok());
   WorkCounters narrow_wc;
-  coll.Search(data.Row(0), 10, &narrow_wc);
+  SearchOne(coll, data.Row(0), 10, &narrow_wc);
 
   EXPECT_LT(narrow_wc.full_distance_evals, wide_wc.full_distance_evals);
 }
@@ -422,13 +426,15 @@ TEST(VdmsEngineTest, SnapshotPinsStateAcrossDeleteAndCompact) {
 
   // The pinned snapshot still reads the pre-delete state: old segments are
   // alive (shared_ptr) and row 0 is still live *in that snapshot*.
-  const auto hits = before->SearchOne(data.Row(0), 1, nullptr);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].id, 0);
+  const Result<SearchResponse> pinned =
+      before->Search(SearchRequest::Single(data.Row(0), 16, 1));
+  ASSERT_TRUE(pinned.ok());
+  ASSERT_EQ(pinned->top().size(), 1u);
+  EXPECT_EQ(pinned->top()[0].id, 0);
   EXPECT_EQ(before->stats.live_rows, 400u);
 
   // A fresh read sees the post-delete state and never a tombstoned row.
-  const auto now = handle->Search(data.Row(0), 1, nullptr);
+  const auto now = SearchOne(*handle, data.Row(0), 1, nullptr);
   ASSERT_EQ(now.size(), 1u);
   EXPECT_GE(now[0].id, 200);
 }
@@ -488,7 +494,7 @@ TEST(LifecycleTest, DeleteSpansBufferGrowingAndSealedRows) {
   EXPECT_EQ(coll.Stats().tombstoned_rows, victims.size());
 
   for (const int64_t id : victims) {
-    const auto hits = coll.Search(data.Row(id), 1, nullptr);
+    const auto hits = SearchOne(coll, data.Row(id), 1, nullptr);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_NE(hits[0].id, id) << "deleted row " << id << " surfaced";
   }
@@ -496,7 +502,7 @@ TEST(LifecycleTest, DeleteSpansBufferGrowingAndSealedRows) {
   ASSERT_TRUE(coll.Flush().ok());
   EXPECT_EQ(coll.Stats().tombstoned_rows, victims.size());
   for (const int64_t id : victims) {
-    const auto hits = coll.Search(data.Row(id), 1, nullptr);
+    const auto hits = SearchOne(coll, data.Row(id), 1, nullptr);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_NE(hits[0].id, id) << "deleted row " << id << " after flush";
   }
@@ -513,7 +519,7 @@ TEST(LifecycleTest, KGreaterThanLiveRowsReturnsAllLive) {
   for (int64_t id = 0; id < 15; ++id) victims.push_back(id);
   ASSERT_TRUE(coll.Delete(victims).ok());
 
-  const auto hits = coll.Search(data.Row(19), 10, nullptr);
+  const auto hits = SearchOne(coll, data.Row(19), 10, nullptr);
   EXPECT_EQ(hits.size(), 5u);  // only 5 live rows remain
   for (const Neighbor& hit : hits) EXPECT_GE(hit.id, 15);
 }
@@ -535,7 +541,7 @@ TEST(LifecycleTest, DeleteAllThenReinsert) {
   EXPECT_EQ(stats.live_rows, 0u);
   // Fully-tombstoned sealed segments are dropped by the compaction pass.
   EXPECT_EQ(stats.num_sealed_segments, 0u);
-  EXPECT_TRUE(coll.Search(data.Row(0), 5, nullptr).empty());
+  EXPECT_TRUE(SearchOne(coll, data.Row(0), 5, nullptr).empty());
 
   // Reinsert: ids continue after the deleted range; search works again.
   ASSERT_TRUE(coll.Insert(data.Slice(n, 2 * n)).ok());
@@ -543,7 +549,7 @@ TEST(LifecycleTest, DeleteAllThenReinsert) {
   stats = coll.Stats();
   EXPECT_EQ(stats.live_rows, n);
   EXPECT_EQ(stats.total_rows, 2 * n);
-  const auto hits = coll.Search(data.Row(n + 37), 1, nullptr);
+  const auto hits = SearchOne(coll, data.Row(n + 37), 1, nullptr);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].id, static_cast<int64_t>(n + 37));
 }
@@ -577,7 +583,7 @@ TEST(LifecycleTest, CompactionRewritesAndIsIdempotent) {
 
   // Ids survive the rewrite: every live row still finds itself.
   for (size_t i = 24; i < n; i += 97) {
-    const auto hits = coll.Search(data.Row(i), 1, nullptr);
+    const auto hits = SearchOne(coll, data.Row(i), 1, nullptr);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0].id, static_cast<int64_t>(i));
   }
@@ -616,16 +622,25 @@ TEST(LifecycleTest, SearchValidatesArguments) {
   FloatMatrix data = RandomMatrix(n, 16, 67);
   ASSERT_TRUE(coll.Insert(data).ok());
 
-  // k == 0: empty result, no UB.
-  EXPECT_TRUE(coll.Search(data.Row(0), 0, nullptr).empty());
-  EXPECT_TRUE(coll.Search(nullptr, 5, nullptr).empty());
+  // k == 0 is a typed error, for one query or a batch.
+  EXPECT_EQ(coll.Search(SearchRequest::Single(data.Row(0), 16, 0))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(coll.Search(SearchRequest::Batch(data, 0)).status().code(),
+            StatusCode::kInvalidArgument);
 
-  // Batch with mismatched query dimension: one empty result per query.
-  FloatMatrix bad_queries = RandomMatrix(4, 8, 68);
-  const auto batch = coll.SearchBatch(bad_queries, 5, nullptr);
-  ASSERT_EQ(batch.size(), 4u);
-  for (const auto& hits : batch) EXPECT_TRUE(hits.empty());
-  EXPECT_TRUE(coll.SearchBatch(data, 0, nullptr)[0].empty());
+  // A batch whose dimension differs from the collection's is a typed
+  // error too, not one empty result per query.
+  const Result<SearchResponse> bad_dim =
+      coll.Search(SearchRequest::Batch(RandomMatrix(4, 8, 68), 5));
+  EXPECT_EQ(bad_dim.status().code(), StatusCode::kInvalidArgument);
+
+  // A null query builds a zero-row request: OK, with zero result slots.
+  const Result<SearchResponse> null_query =
+      coll.Search(SearchRequest::Single(nullptr, 16, 5));
+  ASSERT_TRUE(null_query.ok());
+  EXPECT_TRUE(null_query->neighbors.empty());
 }
 
 TEST(LifecycleTest, StreamedInsertsAcrossChunkBoundaries) {
@@ -651,12 +666,12 @@ TEST(LifecycleTest, StreamedInsertsAcrossChunkBoundaries) {
   ASSERT_TRUE(coll.Delete(victims, &deleted).ok());
   EXPECT_EQ(deleted, victims.size());
   for (const int64_t id : victims) {
-    const auto hits = coll.Search(data.Row(id), 1, nullptr);
+    const auto hits = SearchOne(coll, data.Row(id), 1, nullptr);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_NE(hits[0].id, id) << "deleted growing row " << id << " surfaced";
   }
   for (const int64_t id : {0, 50, 200, 298}) {
-    const auto hits = coll.Search(data.Row(id), 1, nullptr);
+    const auto hits = SearchOne(coll, data.Row(id), 1, nullptr);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0].id, id);
   }
@@ -664,7 +679,7 @@ TEST(LifecycleTest, StreamedInsertsAcrossChunkBoundaries) {
   ASSERT_TRUE(coll.Flush().ok());
   EXPECT_EQ(coll.Stats().tombstoned_rows, victims.size());
   for (const int64_t id : victims) {
-    const auto hits = coll.Search(data.Row(id), 1, nullptr);
+    const auto hits = SearchOne(coll, data.Row(id), 1, nullptr);
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_NE(hits[0].id, id) << "deleted row " << id << " after seal";
   }
@@ -709,6 +724,34 @@ TEST(VdmsEngineTest, EmptyQueryBatchWithPositiveKIsEmptyResponse) {
       engine.Search("emptyq", SearchRequest::Batch(FloatMatrix(), 5));
   ASSERT_TRUE(degenerate.ok());
   EXPECT_TRUE(degenerate->neighbors.empty());
+}
+
+TEST(VdmsEngineTest, BadSearchInputIsInvalidArgument) {
+  VdmsEngine engine;
+  auto opts = SmallOptions(60);
+  opts.name = "strict";
+  opts.system.num_shards = 2;
+  ASSERT_TRUE(engine.CreateCollection(opts).ok());
+
+  const auto code = [&engine](FloatMatrix queries, size_t k) {
+    return engine.Search("strict", SearchRequest::Batch(std::move(queries), k))
+        .status()
+        .code();
+  };
+  // Before the first insert the collection has no dimension to check
+  // against, but k == 0 is already an error.
+  EXPECT_EQ(code(RandomMatrix(2, 8, 74), 3), StatusCode::kOk);
+  EXPECT_EQ(code(RandomMatrix(2, 8, 74), 0), StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(engine.Insert("strict", RandomMatrix(60, 16, 75)).ok());
+  EXPECT_EQ(code(RandomMatrix(2, 8, 76), 3), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(RandomMatrix(2, 16, 77), 0), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(RandomMatrix(2, 16, 77), 3), StatusCode::kOk);
+  // A zero-row batch of any width stays OK with zero slots.
+  const auto empty =
+      engine.Search("strict", SearchRequest::Batch(FloatMatrix(0, 8), 3));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->neighbors.empty());
 }
 
 TEST(VdmsEngineTest, DeleteAndCompactPassThrough) {

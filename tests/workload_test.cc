@@ -242,6 +242,67 @@ TEST(ReplayTest, MeasuredModeProducesPositiveQps) {
   EXPECT_GT(r.recall, 0.99);  // FLAT is exact
 }
 
+TEST(ReplayTest, MeasuredModeDoesTheCostModelWorkOnShards) {
+  // kMeasured sends one-row requests from its own worker pool (their shard
+  // scatter runs inline there); summed over the workload they do exactly
+  // the work of the cost-model pass's one batch.
+  auto data = GenerateDataset(DatasetProfile::kGlove, 900, 16, 31);
+  Workload w = MakeWorkload(DatasetProfile::kGlove, data, 24, 5, 31, 3);
+
+  CollectionOptions copts;
+  copts.metric = Metric::kAngular;
+  copts.scale.dataset_mb = 472.0;
+  copts.scale.actual_rows = data.rows();
+  copts.index.type = IndexType::kIvfFlat;
+  copts.index.params.nlist = 16;
+  copts.index.params.nprobe = 4;
+  copts.system.build_index_threshold = 32;
+  copts.system.num_shards = 3;
+  Collection coll(copts);
+  ASSERT_TRUE(coll.Insert(data).ok());
+  ASSERT_TRUE(coll.Flush().ok());
+
+  ReplayOptions measured;
+  measured.mode = ReplayMode::kMeasured;
+  const ReplayResult m = ReplayWorkload(coll, w, measured);
+  const ReplayResult c = ReplayWorkload(coll, w, {});
+  ASSERT_FALSE(m.failed) << m.fail_reason;
+  ASSERT_FALSE(c.failed) << c.fail_reason;
+  EXPECT_EQ(m.work.full_distance_evals, c.work.full_distance_evals);
+  EXPECT_EQ(m.work.coarse_distance_evals, c.work.coarse_distance_evals);
+  EXPECT_EQ(m.work.shard_scatters, 24u * 3u);
+  EXPECT_EQ(m.work.shard_scatters, c.work.shard_scatters);
+  EXPECT_EQ(m.work.gather_candidates, c.work.gather_candidates);
+  // Recall folds in completion order in kMeasured mode.
+  EXPECT_NEAR(m.recall, c.recall, 1e-12);
+}
+
+TEST(ReplayTest, BadSearchInputIsAFailedOutcome) {
+  auto data = GenerateDataset(DatasetProfile::kGlove, 300, 16, 37);
+  CollectionOptions copts;
+  copts.metric = Metric::kAngular;
+  copts.scale.actual_rows = data.rows();
+  copts.index.type = IndexType::kFlat;
+  Collection coll(copts);
+  ASSERT_TRUE(coll.Insert(data).ok());
+  ASSERT_TRUE(coll.Flush().ok());
+
+  Workload zero_k = MakeWorkload(DatasetProfile::kGlove, data, 4, 5, 37, 2);
+  zero_k.k = 0;
+  const auto narrow = GenerateDataset(DatasetProfile::kGlove, 300, 8, 38);
+  Workload bad_dim = MakeWorkload(DatasetProfile::kGlove, narrow, 4, 5, 38, 2);
+  ReplayOptions measured;
+  measured.mode = ReplayMode::kMeasured;
+  for (const Workload* w : {&zero_k, &bad_dim}) {
+    for (const ReplayOptions& opts : {ReplayOptions{}, measured}) {
+      const ReplayResult r = ReplayWorkload(coll, *w, opts);
+      EXPECT_TRUE(r.failed);
+      EXPECT_EQ(r.fail_reason.rfind("InvalidArgument", 0), 0u)
+          << r.fail_reason;
+    }
+  }
+}
+
 TEST(ReplayTest, SpeedRecallConflict) {
   // The paper's core tension: fewer probes -> faster but lower recall.
   auto data = GenerateDataset(DatasetProfile::kGlove, 1500, 24, 23);
@@ -391,6 +452,25 @@ TEST(ChurnReplayTest, FlatReplayIsExactAndCountsMutations) {
     }
   }
   EXPECT_EQ(coll.Stats().live_rows, live.size());
+}
+
+TEST(ChurnReplayTest, BadSearchInputIsAFailedOutcome) {
+  const auto data = GenerateDataset(DatasetProfile::kGlove, 400, 16, 86);
+  ChurnSpec spec;
+  spec.num_queries = 4;
+  spec.k = 5;
+  spec.rounds = 2;
+  spec.searches_per_round = 2;
+  auto churn = MakeChurnWorkload(DatasetProfile::kGlove, data, spec, 87);
+  churn.k = 0;
+  CollectionOptions copts;
+  copts.scale.actual_rows = data.rows();
+  copts.index.type = IndexType::kFlat;
+  Collection coll(copts);
+  const ChurnReplayResult result = ReplayChurn(&coll, churn, ReplayOptions{});
+  EXPECT_TRUE(result.failed);
+  EXPECT_EQ(result.fail_reason.rfind("InvalidArgument", 0), 0u)
+      << result.fail_reason;
 }
 
 TEST(ChurnReplayTest, RejectsTimelinesWithoutSearches) {
