@@ -11,10 +11,10 @@
 namespace vdt {
 namespace {
 
-// True while the current thread runs items of a parallel call (as a pool
+// True while the current thread runs items of a parallel call (as a
 // worker, or as a caller draining its own ParallelForOrInline); nested calls
-// from such a thread run inline (submitting to the pool and blocking on it
-// from one of its own workers would deadlock).
+// from such a thread run inline (queueing helpers and blocking on them from
+// one of the executor's own workers would deadlock).
 thread_local bool tl_in_executor_task = false;
 
 size_t DefaultThreads() {
@@ -24,12 +24,18 @@ size_t DefaultThreads() {
   return hw > 0 ? static_cast<size_t>(hw) : 1;
 }
 
-// One call's state, shared with its pool tasks (not ThreadPool::Wait, so
-// concurrent calls from different caller threads do not block on each
-// other's tasks). A task may start after the call has returned, so it holds
-// the state by shared_ptr and dereferences `fn` only for an item it claimed.
-struct CallState {
-  CallState(size_t n, const std::function<void(size_t)>* fn) : n(n), fn(fn) {}
+}  // namespace
+
+// Each call has its own state, so concurrent calls from different caller
+// threads never wait on each other's items. A helper may start after its
+// call has returned, so it holds the state by shared_ptr and dereferences
+// `fn` only for an item it claimed.
+struct ParallelExecutor::Call {
+  Call(size_t n, const std::function<void(size_t)>* fn) : n(n), fn(fn) {}
+
+  /// The one drain loop: claims items from the shared counter until none
+  /// are left, then reports how many this thread ran.
+  void Drain();
 
   const size_t n;
   const std::function<void(size_t)>* const fn;
@@ -39,33 +45,52 @@ struct CallState {
   size_t done = 0;  // items finished; guarded by mu
 };
 
-// The one drain loop: claims items from the shared counter until none are
-// left, then reports how many this thread ran.
-void Drain(CallState& state) {
+void ParallelExecutor::Call::Drain() {
   tl_in_executor_task = true;
   size_t ran = 0;
   for (;;) {
-    const size_t i = state.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= state.n) break;
-    (*state.fn)(i);
+    const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n) break;
+    (*fn)(i);
     ++ran;
   }
   tl_in_executor_task = false;
   if (ran == 0) return;
-  std::lock_guard<std::mutex> lock(state.mu);
-  state.done += ran;
-  if (state.done == state.n) state.done_cv.notify_all();
+  std::lock_guard<std::mutex> lock(mu);
+  done += ran;
+  if (done == n) done_cv.notify_all();
 }
 
-}  // namespace
+ParallelExecutor::ParallelExecutor(size_t num_threads) {
+  if (num_threads == 0) num_threads = DefaultThreads();
+  workers_.reserve(num_threads);
+  for (size_t i = 0; i < num_threads; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+}
 
-ParallelExecutor::ParallelExecutor(size_t num_threads)
-    : pool_(std::make_unique<ThreadPool>(
-          num_threads > 0 ? num_threads : DefaultThreads())) {}
+ParallelExecutor::~ParallelExecutor() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  helper_queued_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+}
 
-ParallelExecutor::~ParallelExecutor() = default;
-
-size_t ParallelExecutor::num_threads() const { return pool_->num_threads(); }
+void ParallelExecutor::WorkerLoop() {
+  for (;;) {
+    std::shared_ptr<Call> call;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      helper_queued_.wait(lock, [this] { return stop_ || !helpers_.empty(); });
+      if (helpers_.empty()) return;  // stopped, and every helper has run
+      call = std::move(helpers_.front());
+      helpers_.pop_front();
+    }
+    call->Drain();
+  }
+}
 
 void ParallelExecutor::Join(size_t n, const std::function<void(size_t)>& fn,
                             bool caller_drains) {
@@ -73,15 +98,18 @@ void ParallelExecutor::Join(size_t n, const std::function<void(size_t)>& fn,
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  auto state = std::make_shared<CallState>(n, &fn);
+  auto call = std::make_shared<Call>(n, &fn);
   // The caller, when it drains, is one of the call's `width` threads.
   const size_t width = std::min(n, num_threads());
-  for (size_t t = caller_drains ? 1 : 0; t < width; ++t) {
-    pool_->Submit([state] { Drain(*state); });
+  const size_t helpers = caller_drains ? width - 1 : width;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    helpers_.insert(helpers_.end(), helpers, call);
   }
-  if (caller_drains) Drain(*state);
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&state] { return state->done == state->n; });
+  for (size_t h = 0; h < helpers; ++h) helper_queued_.notify_one();
+  if (caller_drains) call->Drain();
+  std::unique_lock<std::mutex> lock(call->mu);
+  call->done_cv.wait(lock, [&call] { return call->done == call->n; });
 }
 
 void ParallelExecutor::ParallelFor(size_t n,

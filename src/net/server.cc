@@ -515,6 +515,14 @@ void VdtServer::ServeRequest(const WorkItem& item) {
   }
   if (AnswerIfTimedOut(item)) return;
 
+  // Only a payload that does not decode is a protocol error; a decoded
+  // request the engine refuses is an error reply and nothing more.
+  const auto decoded = [this](Status st) {
+    if (!st.ok()) {
+      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    }
+    return st;
+  };
   Status error = Status::OK();
   std::vector<uint8_t> reply;
   switch (static_cast<Op>(item.op)) {
@@ -522,8 +530,8 @@ void VdtServer::ServeRequest(const WorkItem& item) {
       break;  // empty reply payload
     case Op::kSearch: {
       SearchRequestWire wire;
-      error = DecodeSearchRequest(item.payload.data(), item.payload.size(),
-                                  &wire);
+      error = decoded(DecodeSearchRequest(item.payload.data(),
+                                          item.payload.size(), &wire));
       if (!error.ok()) break;
       SearchRequest request;
       request.queries = std::move(wire.queries);
@@ -548,8 +556,8 @@ void VdtServer::ServeRequest(const WorkItem& item) {
     }
     case Op::kInsert: {
       InsertRequestWire wire;
-      error = DecodeInsertRequest(item.payload.data(), item.payload.size(),
-                                  &wire);
+      error = decoded(DecodeInsertRequest(item.payload.data(),
+                                          item.payload.size(), &wire));
       if (!error.ok()) break;
       error = engine_->Insert(wire.collection, wire.rows);
       if (!error.ok()) break;
@@ -569,8 +577,8 @@ void VdtServer::ServeRequest(const WorkItem& item) {
     }
     case Op::kDelete: {
       DeleteRequestWire wire;
-      error = DecodeDeleteRequest(item.payload.data(), item.payload.size(),
-                                  &wire);
+      error = decoded(DecodeDeleteRequest(item.payload.data(),
+                                          item.payload.size(), &wire));
       if (!error.ok()) break;
       size_t deleted = 0;
       error = engine_->Delete(wire.collection, wire.ids, &deleted);
@@ -580,8 +588,8 @@ void VdtServer::ServeRequest(const WorkItem& item) {
     }
     case Op::kStats: {
       StatsRequestWire wire;
-      error =
-          DecodeStatsRequest(item.payload.data(), item.payload.size(), &wire);
+      error = decoded(
+          DecodeStatsRequest(item.payload.data(), item.payload.size(), &wire));
       if (!error.ok()) break;
       Result<StatsReplyWire> stats = BuildStatsReply(wire.collection);
       if (!stats.ok()) {
@@ -592,15 +600,12 @@ void VdtServer::ServeRequest(const WorkItem& item) {
       break;
     }
     default:
-      error = Status::InvalidArgument("unknown op byte " +
-                                      std::to_string(item.op));
+      error = decoded(Status::InvalidArgument("unknown op byte " +
+                                              std::to_string(item.op)));
       break;
   }
 
   if (!error.ok()) {
-    if (error.code() == StatusCode::kInvalidArgument) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    }
     RecordReply(item.op, item.enqueued, /*ok=*/false);
     SendError(item.conn, item.request_id, error);
     return;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/binary_io.h"
+#include "index/index_io.h"
 
 namespace vdt {
 
@@ -35,15 +36,7 @@ void EncodeManifest(const ManifestData& manifest, std::vector<uint8_t>* out) {
   w.F64(o.system.compaction_deleted_ratio);
   w.I32(o.system.num_shards);
   w.U8(static_cast<uint8_t>(static_cast<int>(o.index.type)));
-  w.I32(o.index.params.nlist);
-  w.I32(o.index.params.nprobe);
-  w.I32(o.index.params.m);
-  w.I32(o.index.params.nbits);
-  w.I32(o.index.params.hnsw_m);
-  w.I32(o.index.params.ef_construction);
-  w.I32(o.index.params.ef);
-  w.I32(o.index.params.reorder_k);
-  w.I32(o.index.params.build_threads);
+  WriteIndexParams(&w, o.index.params);
   w.F64(o.scale.dataset_mb);
   w.F64(o.scale.memory_mb);
   w.U64(o.scale.actual_rows);
@@ -103,12 +96,7 @@ Result<ManifestData> DecodeManifest(const uint8_t* bytes, size_t len) {
       !r.F64(&o.system.cache_ratio) ||
       !r.F64(&o.system.compaction_deleted_ratio) ||
       !r.I32(&o.system.num_shards) || !r.U8(&index_type) ||
-      !r.I32(&o.index.params.nlist) || !r.I32(&o.index.params.nprobe) ||
-      !r.I32(&o.index.params.m) || !r.I32(&o.index.params.nbits) ||
-      !r.I32(&o.index.params.hnsw_m) ||
-      !r.I32(&o.index.params.ef_construction) || !r.I32(&o.index.params.ef) ||
-      !r.I32(&o.index.params.reorder_k) ||
-      !r.I32(&o.index.params.build_threads) || !r.F64(&o.scale.dataset_mb) ||
+      !ReadIndexParams(&r, &o.index.params) || !r.F64(&o.scale.dataset_mb) ||
       !r.F64(&o.scale.memory_mb)) {
     return Malformed("options");
   }

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/binary_io.h"
-#include "index/index.h"
+#include "index/index_io.h"
 #include "storage/file_io.h"
 
 namespace vdt {
@@ -65,10 +65,7 @@ bool DecodePayload(uint8_t type, const uint8_t* payload, size_t len,
              r.I32(&out->max_read_concurrency) && r.F64(&out->cache_ratio) &&
              r.F64(&out->compaction_deleted_ratio) && r.remaining() == 0;
     case WalRecord::kSearchParams:
-      for (int i = 0; i < 9; ++i) {
-        if (!r.I32(&out->params[i])) return false;
-      }
-      return r.remaining() == 0;
+      return ReadIndexParams(&r, &out->params) && r.remaining() == 0;
     case WalRecord::kCompact:
       return r.remaining() == 0;
     default:
@@ -229,15 +226,7 @@ Status WalWriter::AppendSystemOverride(const SystemConfig& system) {
 Status WalWriter::AppendSearchParams(const IndexParams& params) {
   std::vector<uint8_t> payload;
   ByteWriter w(&payload);
-  w.I32(params.nlist);
-  w.I32(params.nprobe);
-  w.I32(params.m);
-  w.I32(params.nbits);
-  w.I32(params.hnsw_m);
-  w.I32(params.ef_construction);
-  w.I32(params.ef);
-  w.I32(params.reorder_k);
-  w.I32(params.build_threads);
+  WriteIndexParams(&w, params);
   return AppendRecord(WalRecord::kSearchParams, payload);
 }
 

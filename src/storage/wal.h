@@ -17,7 +17,8 @@
 //                   cache_ratio f64, compaction_deleted_ratio f64 — the
 //                   runtime knobs OverrideRuntimeSystem may change; logged
 //                   so post-restart compaction triggers match
-//   SearchParams    the 9 IndexParams fields as i32 — logged so post-restart
+//   SearchParams    the 9 IndexParams fields as i32 (WriteIndexParams,
+//                   index/index_io.h) — logged so post-restart
 //                   Search results are bit-identical under updated knobs
 //   Compact         empty — an explicit Compact() call (deletes replay
 //                   their inline compaction themselves)
@@ -37,11 +38,10 @@
 
 #include "common/float_matrix.h"
 #include "common/status.h"
+#include "index/index.h"
 #include "vdms/system_config.h"
 
 namespace vdt {
-
-struct IndexParams;
 
 /// When the WAL fsyncs: kNone leaves flushing to the OS (fast; a machine
 /// crash may lose the newest records, a process crash loses nothing),
@@ -65,7 +65,7 @@ struct WalRecord {
   int32_t max_read_concurrency = 0;    // kSystemOverride
   double cache_ratio = 0;              // kSystemOverride
   double compaction_deleted_ratio = 0; // kSystemOverride
-  int32_t params[9] = {};              // kSearchParams (IndexParams fields)
+  IndexParams params;                  // kSearchParams
 };
 
 /// Everything a WAL file yields on open: the valid record prefix and where

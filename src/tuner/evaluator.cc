@@ -9,16 +9,7 @@ namespace vdt {
 
 VdmsEvaluator::VdmsEvaluator(const FloatMatrix* data, const Workload* workload,
                              VdmsEvaluatorOptions options)
-    : data_(data), workload_(workload), options_(options) {
-  // The replay pass is the hot path of every tuner iteration: when the
-  // caller asked for a dedicated width, build the pool once here instead of
-  // per replay. eval_threads == 0 leaves the caller's replay options as-is,
-  // and a caller-supplied replay.executor always wins over eval_threads.
-  if (options_.eval_threads > 0 && options_.replay.executor == nullptr) {
-    executor_ = std::make_unique<ParallelExecutor>(options_.eval_threads);
-    options_.replay.executor = executor_.get();
-  }
-}
+    : data_(data), workload_(workload), options_(options) {}
 
 std::string VdmsEvaluator::CacheKey(const TuningConfig& config) const {
   // Layout-affecting system parameters + the index build signature. Two
@@ -44,10 +35,6 @@ CollectionOptions VdmsEvaluator::MakeCollectionOptions(
   copts.system = config.system;
   copts.index.type = config.index_type;
   copts.index.params = config.index;
-  if (options_.build_threads > 0) {
-    copts.index.params.build_threads =
-        static_cast<int>(options_.build_threads);
-  }
   copts.scale.dataset_mb = spec.standin_mb;
   copts.scale.memory_mb = spec.PaperMb();
   copts.scale.actual_rows = data_->rows();

@@ -9,11 +9,9 @@
 
 #include <list>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 
-#include "common/parallel_executor.h"
 #include "tuner/param_space.h"
 #include "vdms/vdms.h"
 #include "workload/churn.h"
@@ -50,32 +48,15 @@ struct VdmsEvaluatorOptions {
   /// including the shard count — + index build signature). 0 disables
   /// caching.
   size_t cache_capacity = 24;
-  /// Worker threads for the batched query evaluation inside each replay:
-  /// 0 leaves the replay options untouched (process-wide ParallelExecutor
-  /// unless the caller configured `replay` otherwise); n > 0 makes the
-  /// evaluator own one n-thread executor reused across all evaluations.
-  /// Parallelism changes only the wall-clock cost of an evaluation, never
-  /// its outcome.
-  size_t eval_threads = 0;
-  /// Worker threads for the index builds behind each evaluation (the
-  /// dominant per-iteration cost): 0 leaves the configuration's own
-  /// IndexParams::build_threads in effect (default: the process-wide
-  /// VDT_THREADS executor); n > 0 overrides it for every collection this
-  /// evaluator stands up. The kmeans-family indexes build bit-identical
-  /// structures at every width, so there this changes wall-clock only.
-  /// HNSW builds a different (equally valid, recall-equivalent) graph in
-  /// sequential (1) vs batched (any other value) mode; BuildSignature —
-  /// and therefore the build cache key — records that mode, so cached
-  /// collections are never shared across it.
-  size_t build_threads = 0;
   /// Churn mode: when set (non-owning, must outlive the evaluator), every
   /// evaluation stands up an *empty* collection with the configuration and
   /// drives it through this mixed insert/delete/search timeline instead of
   /// replaying the static `workload`. Because the timeline mutates the
   /// collection (deletes, compactions), churn evaluations bypass the build
-  /// cache entirely. Outcomes stay deterministic at any eval_threads /
-  /// build_threads width for the kmeans-family and FLAT index types (HNSW
-  /// keeps its documented sequential-vs-batched mode distinction).
+  /// cache entirely. Outcomes stay deterministic at any replay.executor /
+  /// IndexParams::build_threads width for the kmeans-family and FLAT index
+  /// types (HNSW keeps its documented sequential-vs-batched mode
+  /// distinction).
   ///
   /// Pair churn tuning with ParamSpace(/*dynamic_workload=*/true):
   /// otherwise the compaction_deleted_ratio knob — the one dimension that
@@ -110,8 +91,8 @@ class VdmsEvaluator : public Evaluator {
                            CollectionHandle* handle);
   /// Releases `handle` and drops the named collection from the engine.
   void DropCollection(const std::string& name, CollectionHandle* handle);
-  /// CollectionOptions for `config` (dataset scale, seed, build_threads
-  /// override applied) without ingesting any data.
+  /// CollectionOptions for `config` (dataset scale and seed applied)
+  /// without ingesting any data.
   CollectionOptions MakeCollectionOptions(const TuningConfig& config) const;
   /// Simulated paper-scale seconds to stand the configuration up (data load
   /// + index build over the indexed fraction of what is stored).
@@ -123,9 +104,6 @@ class VdmsEvaluator : public Evaluator {
   const FloatMatrix* data_;
   const Workload* workload_;
   VdmsEvaluatorOptions options_;
-  /// Owned executor behind options_.replay.executor when eval_threads > 0;
-  /// built once so repeated evaluations share one pool.
-  std::unique_ptr<ParallelExecutor> executor_;
 
   /// The engine that owns every collection this evaluator stands up;
   /// collections are named by cache key and accessed through ref-counted

@@ -593,19 +593,9 @@ Result<std::shared_ptr<Collection>> Collection::Restore(
         c.ApplyRuntimeSystemLocked(sys);
         break;
       }
-      case WalRecord::kSearchParams: {
-        IndexParams& p = c.options_.index.params;
-        p.nlist = rec.params[0];
-        p.nprobe = rec.params[1];
-        p.m = rec.params[2];
-        p.nbits = rec.params[3];
-        p.hnsw_m = rec.params[4];
-        p.ef_construction = rec.params[5];
-        p.ef = rec.params[6];
-        p.reorder_k = rec.params[7];
-        p.build_threads = rec.params[8];
+      case WalRecord::kSearchParams:
+        c.options_.index.params = rec.params;
         break;
-      }
       case WalRecord::kCompact:
         st = c.CompactLocked(nullptr);
         break;

@@ -1,10 +1,8 @@
 #include "workload/churn.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
-#include "common/parallel_executor.h"
 #include "common/random.h"
 
 namespace vdt {
@@ -147,13 +145,6 @@ ChurnReplayResult ReplayChurn(Collection* collection,
     return result;
   }
 
-  std::unique_ptr<ParallelExecutor> dedicated;
-  ParallelExecutor* executor = options.executor;
-  if (executor == nullptr && options.batch_threads > 0) {
-    dedicated = std::make_unique<ParallelExecutor>(options.batch_threads);
-    executor = dedicated.get();
-  }
-
   const size_t base_compactions = collection->Stats().num_compactions;
   double recall_sum = 0.0;
   WorkCounters total;
@@ -197,7 +188,7 @@ ChurnReplayResult ReplayChurn(Collection* collection,
                       workload.queries.dim());
     }
     const Result<SearchResponse> response = collection->Search(
-        SearchRequest::Batch(std::move(batch), workload.k), executor);
+        SearchRequest::Batch(std::move(batch), workload.k), options.executor);
     if (!response.ok()) {
       result.failed = true;
       result.fail_reason = response.status().ToString();
@@ -225,7 +216,7 @@ ChurnReplayResult ReplayChurn(Collection* collection,
   result.memory = ComputeMemory(stats, system);
   result.memory_gib = result.memory.TotalGib();
 
-  if (options.enforce_timeout && result.qps < options.cost.min_qps) {
+  if (result.qps < options.cost.min_qps) {
     result.failed = true;
     result.fail_reason = "replay timeout: qps below floor";
   }

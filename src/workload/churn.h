@@ -99,9 +99,9 @@ struct ChurnReplayResult {
 /// Drives `collection` (typically empty) through `workload`'s timeline:
 /// inserts feed the normal buffer/seal/build path, deletes tombstone and may
 /// trigger inline compaction, and runs of consecutive search ops execute as
-/// one deterministic batch (options.executor / options.batch_threads, like
-/// ReplayWorkload) with recall folded in op order — results are identical at
-/// any thread width. Only ReplayMode::kCostModel is supported.
+/// one deterministic batch (across options.executor, like ReplayWorkload)
+/// with recall folded in op order — results are identical at any thread
+/// width. Only ReplayMode::kCostModel is supported.
 ChurnReplayResult ReplayChurn(Collection* collection,
                               const ChurnWorkload& workload,
                               const ReplayOptions& options);

@@ -1,6 +1,5 @@
 #include "workload/replay.h"
 
-#include <memory>
 #include <mutex>
 
 #include "common/parallel_executor.h"
@@ -73,14 +72,8 @@ ReplayResult ReplayWorkload(const Collection& collection,
     // Queries run as one typed request against one snapshot; recall is
     // folded in query order so the floating-point sum is bit-identical to
     // the sequential loop.
-    std::unique_ptr<ParallelExecutor> dedicated;
-    ParallelExecutor* executor = options.executor;
-    if (executor == nullptr && options.batch_threads > 0) {
-      dedicated = std::make_unique<ParallelExecutor>(options.batch_threads);
-      executor = dedicated.get();
-    }
     const Result<SearchResponse> response =
-        collection.Search(borrow(0, nq), executor);
+        collection.Search(borrow(0, nq), options.executor);
     if (!response.ok()) return fail(response.status());
     for (size_t q = 0; q < nq; ++q) {
       recall_sum += RecallAtK(response->neighbors[q], workload.ground_truth[q]);
@@ -98,7 +91,7 @@ ReplayResult ReplayWorkload(const Collection& collection,
   result.memory = ComputeMemory(stats, system);
   result.memory_gib = result.memory.TotalGib();
 
-  if (options.enforce_timeout && options.mode == ReplayMode::kCostModel &&
+  if (options.mode == ReplayMode::kCostModel &&
       result.qps < options.cost.min_qps) {
     result.failed = true;
     result.fail_reason = "replay timeout: qps below floor";

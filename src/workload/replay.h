@@ -21,24 +21,14 @@ enum class ReplayMode { kCostModel, kMeasured };
 struct ReplayOptions {
   ReplayMode mode = ReplayMode::kCostModel;
   CostModelParams cost;
-  /// Declare the configuration failed when QPS falls below cost.min_qps
-  /// (mirrors the paper's 15-minute replay cap).
-  bool enforce_timeout = true;
   /// Executor for the deterministic (kCostModel) batch pass, non-owning;
-  /// must outlive the replay. Takes precedence over batch_threads. Callers
-  /// replaying repeatedly (the evaluator) set this to a long-lived executor
-  /// so the pool is not rebuilt per replay.
-  ParallelExecutor* executor = nullptr;
-  /// When `executor` is null: 0 uses the process-wide ParallelExecutor,
-  /// n > 0 uses a dedicated pool of n threads for this replay (1 is
-  /// effectively sequential). Results are identical either way; only
-  /// wall-clock time changes.
+  /// must outlive the replay. Null uses the process-wide ParallelExecutor.
+  /// Results are identical at any width; only wall-clock time changes.
   ///
-  /// Replay never builds indexes; the build-side counterpart of this knob
-  /// is IndexParams::build_threads (plumbed per evaluation through
-  /// VdmsEvaluatorOptions::build_threads), with the same only-wall-clock
-  /// guarantee.
-  size_t batch_threads = 0;
+  /// Replay never builds indexes; the build-side width is each
+  /// configuration's IndexParams::build_threads, with the same
+  /// only-wall-clock guarantee.
+  ParallelExecutor* executor = nullptr;
 };
 
 /// Outcome of replaying one workload against one collection configuration.

@@ -411,19 +411,23 @@ TEST(CollectionBuildParityTest, BuildThreadsChangesNothingObservable) {
   EXPECT_EQ(seq->Stats().index_bytes_actual, par->Stats().index_bytes_actual);
 }
 
+// The configuration's IndexParams::build_threads sets the width of the
+// build the evaluator runs, and replay.executor that of its replay; the
+// IVF_FLAT outcome is the same at widths 1 and 4.
 TEST(EvaluatorBuildParityTest, BuildThreadsOverrideKeepsOutcome) {
   FloatMatrix data = ClusteredMatrix(900, 16, 8, 0.3, 61);
   Workload workload = MakeWorkload(DatasetProfile::kGlove, data, 16, 10, 62);
 
-  TuningConfig config;
-  config.index_type = IndexType::kIvfFlat;
-  config.index.nlist = 16;
-  config.index.nprobe = 8;
-
-  auto evaluate = [&](size_t build_threads) {
+  auto evaluate = [&](size_t width) {
+    ParallelExecutor replay_executor(width);
+    TuningConfig config;
+    config.index_type = IndexType::kIvfFlat;
+    config.index.nlist = 16;
+    config.index.nprobe = 8;
+    config.index.build_threads = static_cast<int>(width);
     VdmsEvaluatorOptions opts;
     opts.seed = 13;
-    opts.build_threads = build_threads;
+    opts.replay.executor = &replay_executor;
     VdmsEvaluator evaluator(&data, &workload, opts);
     return evaluator.Evaluate(config);
   };
@@ -438,8 +442,9 @@ TEST(EvaluatorBuildParityTest, BuildThreadsOverrideKeepsOutcome) {
 
 // A churn (insert/delete/search/compaction) evaluation must produce the
 // identical tuning trajectory — same configs, same QPS/recall/memory — at
-// any eval_threads/build_threads width. Covers the kmeans family and FLAT;
-// HNSW keeps its documented sequential-vs-batched build-mode distinction.
+// any replay executor / IndexParams::build_threads width. Covers the kmeans
+// family and FLAT; HNSW keeps its documented sequential-vs-batched
+// build-mode distinction.
 TEST(EvaluatorChurnParityTest, TrajectoryIdenticalAcrossWidths) {
   FloatMatrix data = ClusteredMatrix(1500, 16, 8, 0.3, 71);
   ChurnSpec spec;
@@ -468,23 +473,24 @@ TEST(EvaluatorChurnParityTest, TrajectoryIdenticalAcrossWidths) {
     trajectory.push_back(config);
   }
 
-  auto run = [&](size_t eval_threads, size_t build_threads) {
+  auto run = [&](size_t width) {
+    ParallelExecutor replay_executor(width);
     VdmsEvaluatorOptions opts;
     opts.profile = DatasetProfile::kGlove;
     opts.seed = 13;
-    opts.eval_threads = eval_threads;
-    opts.build_threads = build_threads;
+    opts.replay.executor = &replay_executor;
     opts.churn = &churn;
     VdmsEvaluator evaluator(&data, /*workload=*/nullptr, opts);
     std::vector<EvalOutcome> outcomes;
-    for (const TuningConfig& config : trajectory) {
+    for (TuningConfig config : trajectory) {
+      config.index.build_threads = static_cast<int>(width);
       outcomes.push_back(evaluator.Evaluate(config));
     }
     return outcomes;
   };
 
-  const auto seq = run(1, 1);
-  const auto par = run(4, 4);
+  const auto seq = run(1);
+  const auto par = run(4);
   ASSERT_EQ(seq.size(), par.size());
   for (size_t i = 0; i < seq.size(); ++i) {
     ASSERT_FALSE(seq[i].failed) << i << ": " << seq[i].fail_reason;

@@ -1,6 +1,5 @@
-// Unit tests for src/common: Status/Result, Rng, ThreadPool,
-// ParallelExecutor and ParallelForOrInline, TablePrinter, env helpers,
-// FloatMatrix, SpscQueue.
+// Unit tests for src/common: Status/Result, Rng, ParallelExecutor and
+// ParallelForOrInline, TablePrinter, env helpers, FloatMatrix, SpscQueue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +22,6 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 
 namespace vdt {
 namespace {
@@ -150,29 +148,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
   EXPECT_LT(same, 3);
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-// Parallel-for coverage is exercised through ParallelExecutor below, the
-// sole parallel-for API since ThreadPool::ParallelFor was folded into it.
-
-TEST(ThreadPoolTest, WaitIsReentrant) {
-  ThreadPool pool(2);
-  pool.Wait();  // no tasks: returns immediately
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-}
-
 TEST(ParallelExecutorTest, CoversRangeExactlyOnce) {
   ParallelExecutor ex(4);
   EXPECT_EQ(ex.num_threads(), 4u);
@@ -218,6 +193,33 @@ TEST(ParallelExecutorTest, GlobalIsSingletonAndUsable) {
   EXPECT_EQ(count.load(), 5);
 }
 
+// Calls from several threads share one executor's workers and queue: each
+// call, parking or draining, sees each of its own items exactly once.
+TEST(ParallelExecutorTest, ConcurrentCallersShareOnePool) {
+  constexpr size_t kItems = 17;
+  ParallelExecutor ex(2);
+  std::atomic<int> miscounted_items{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 50; ++round) {
+        std::vector<std::atomic<int>> parked(kItems);
+        ex.ParallelFor(kItems, [&](size_t i) { parked[i].fetch_add(1); });
+        std::vector<std::atomic<int>> drained(kItems);
+        ParallelForOrInline(&ex, kItems,
+                            [&](size_t i) { drained[i].fetch_add(1); });
+        for (size_t i = 0; i < kItems; ++i) {
+          if (parked[i].load() != 1 || drained[i].load() != 1) {
+            miscounted_items.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(miscounted_items.load(), 0);
+}
+
 TEST(ParallelExecutorTest, ParallelForParksItsCaller) {
   ParallelExecutor ex(2);
   const std::thread::id caller = std::this_thread::get_id();
@@ -259,8 +261,8 @@ class Gate {
 
 // The caller drains its own call: with both workers of a width-2 executor
 // held by another call, ParallelForOrInline still returns, having run every
-// item on the calling thread. The helper task it submitted starts only after
-// the workers are released, finds every item claimed, and runs none.
+// item on the calling thread. The helper it queued starts only after the
+// workers are released, finds every item claimed, and runs none.
 TEST(ParallelForOrInlineTest, CallerMakesProgressWhileEveryWorkerIsBusy) {
   constexpr size_t kItems = 64;
   std::vector<std::atomic<int>> hits(kItems);
@@ -303,7 +305,7 @@ TEST(ParallelForOrInlineTest, CallerMakesProgressWhileEveryWorkerIsBusy) {
     EXPECT_TRUE(returned_alone) << "the call waited for the held workers";
     EXPECT_EQ(off_caller.load(), 0);
     for (size_t i = 0; i < kItems; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  }  // ~ParallelExecutor runs what the pool still holds: the late helper.
+  }  // ~ParallelExecutor runs the helper still queued, which claims nothing.
   EXPECT_EQ(calls.load(), static_cast<int>(kItems))
       << "a helper that started after every item was claimed called fn";
 }

@@ -794,6 +794,53 @@ TEST(ServingTest, ErrorRepliesAreCountedAndPriced) {
   server.Stop();
 }
 
+// protocol_errors counts only frames and payloads the server cannot decode.
+// A well-formed request the engine refuses (rows of the wrong dim) is an
+// error reply and nothing more, on the uncoalesced (coalesce_max 1) and
+// coalesced (32) Search paths and for Inserts alike.
+TEST(ServingTest, ProtocolErrorsCountOnlyUndecodablePayloads) {
+  for (const size_t coalesce_max : {size_t{1}, size_t{32}}) {
+    SCOPED_TRACE(coalesce_max);
+    VdmsEngine engine;
+    ASSERT_TRUE(
+        engine.CreateCollection(ServingOptions("c", IndexType::kFlat, 1, 100))
+            .ok());
+    ASSERT_TRUE(engine.Insert("c", RandomMatrix(100, 8, 3)).ok());
+    ServerOptions options;
+    options.coalesce_max = coalesce_max;
+    VdtServer server(&engine, options);
+    ASSERT_TRUE(server.Start().ok());
+    const ServerCounters& counters = server.counters();
+    VdtClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+    const uint64_t errors = counters.requests_error.load();
+    const auto search =
+        client.Search("c", SearchRequest::Batch(RandomMatrix(1, 16, 4), 3));
+    EXPECT_EQ(search.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(counters.requests_error.load(), errors + 1);
+    EXPECT_EQ(counters.protocol_errors.load(), 0u);
+
+    const auto insert = client.Insert("c", RandomMatrix(2, 16, 5));
+    EXPECT_EQ(insert.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(counters.requests_error.load(), errors + 2);
+    EXPECT_EQ(counters.protocol_errors.load(), 0u);
+
+    const int fd = RawConnect(server.port());
+    std::vector<uint8_t> frame;
+    EncodeFrame(static_cast<uint8_t>(Op::kSearch), 9, {0xBA, 0xD0}, &frame);
+    RawSendAll(fd, frame);
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(RawReadFrame(fd, &header, &payload));
+    EXPECT_EQ(header.op, kErrorOp);
+    ::close(fd);
+    EXPECT_EQ(counters.requests_error.load(), errors + 3);
+    EXPECT_EQ(counters.protocol_errors.load(), 1u);
+    server.Stop();
+  }
+}
+
 // ----------------------------------------------- concurrency (TSan target)
 
 TEST(ServingTest, ConcurrentClientsDuringInsertDeleteCompact) {

@@ -6,6 +6,8 @@
 // uninitialized interpretation turns into a hard failure.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -136,7 +138,9 @@ TEST(SegmentFormatTest, WrongMetricIsRejected) {
 
 // --------------------------------------------------------------------- WAL
 
-std::vector<uint8_t> EncodeTestWal() {
+/// The bytes of a fresh WAL file after `append` has written its records.
+std::vector<uint8_t> WriteTestWal(
+    const std::function<void(WalWriter*)>& append) {
   char tmpl[] = "/tmp/vdt_wal_fuzz_XXXXXX";
   const int fd = mkstemp(tmpl);
   EXPECT_GE(fd, 0);
@@ -146,21 +150,27 @@ std::vector<uint8_t> EncodeTestWal() {
   {
     auto writer = WalWriter::Open(path, WalSyncPolicy::kNone, nullptr);
     EXPECT_TRUE(writer.ok());
-    const FloatMatrix rows = RandomMatrix(10, 4, 9);
-    EXPECT_TRUE((*writer)->AppendInsert(rows).ok());
-    EXPECT_TRUE((*writer)->AppendDelete({1, 5, 9}).ok());
-    SystemConfig sys;
-    sys.cache_ratio = 0.5;
-    EXPECT_TRUE((*writer)->AppendSystemOverride(sys).ok());
-    IndexParams params;
-    params.nprobe = 3;
-    EXPECT_TRUE((*writer)->AppendSearchParams(params).ok());
-    EXPECT_TRUE((*writer)->AppendCompact().ok());
+    append(writer->get());
   }
   auto bytes = ReadFileBytes(path);
   EXPECT_TRUE(bytes.ok());
   (void)RemoveFileIfExists(path);
   return *bytes;
+}
+
+std::vector<uint8_t> EncodeTestWal() {
+  return WriteTestWal([](WalWriter* writer) {
+    const FloatMatrix rows = RandomMatrix(10, 4, 9);
+    EXPECT_TRUE(writer->AppendInsert(rows).ok());
+    EXPECT_TRUE(writer->AppendDelete({1, 5, 9}).ok());
+    SystemConfig sys;
+    sys.cache_ratio = 0.5;
+    EXPECT_TRUE(writer->AppendSystemOverride(sys).ok());
+    IndexParams params;
+    params.nprobe = 3;
+    EXPECT_TRUE(writer->AppendSearchParams(params).ok());
+    EXPECT_TRUE(writer->AppendCompact().ok());
+  });
 }
 
 TEST(WalFormatTest, TruncationYieldsExactValidPrefix) {
@@ -300,6 +310,68 @@ TEST(ManifestFormatTest, RandomCorruptionNeverCrashes) {
     }
     (void)DecodeManifest(bytes.data(), bytes.size());
   }
+}
+
+// ------------------------------------------------------------ golden bytes
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  std::string out;
+  char buf[3];
+  for (const uint8_t b : bytes) {
+    std::snprintf(buf, sizeof(buf), "%02x", b);
+    out += buf;
+  }
+  return out;
+}
+
+/// Nine distinct values, so a swapped or dropped IndexParams field changes
+/// the bytes.
+IndexParams DistinctIndexParams() {
+  IndexParams p;
+  p.nlist = 11;
+  p.nprobe = 12;
+  p.m = 13;
+  p.nbits = 14;
+  p.hnsw_m = 15;
+  p.ef_construction = 16;
+  p.ef = 17;
+  p.reorder_k = 18;
+  p.build_threads = 19;
+  return p;
+}
+
+// Both on-disk homes of IndexParams (the manifest's collection options and
+// the WAL's SearchParams record) are pinned byte for byte: a codec change
+// that reorders, resizes or drops a field breaks every stored collection.
+TEST(StorageGoldenBytesTest, ManifestAndSearchParamsRecord) {
+  ManifestData m = MakeTestManifest();
+  m.options.index.type = IndexType::kHnsw;
+  m.options.index.params = DistinctIndexParams();
+  std::vector<uint8_t> manifest;
+  EncodeManifest(m, &manifest);
+  EXPECT_EQ(Hex(manifest),
+            "564d414e01000000b1118611040066757a7a020d000000000000000000000000"
+            "008040b81e85eb51b8be3f0000000000003040000000000088b3402000000080"
+            "000000333333333333d33f9a9999999999c93f02000000040b0000000c000000"
+            "0d0000000e0000000f0000001000000011000000120000001300000000000000"
+            "00807d40000000000000000001000000000000000800000000000000f4010000"
+            "0000000003000000000000000900000000000000020000000000000002000000"
+            "010000000000000004000000000000000a000000000000000200000000000000"
+            "8100010000000000000006000000000000000a00000000000000000000000000"
+            "00000000");
+
+  const std::vector<uint8_t> wal = WriteTestWal([](WalWriter* writer) {
+    EXPECT_TRUE(writer->AppendSearchParams(DistinctIndexParams()).ok());
+  });
+  // Header, then type 4, payload_len 36, CRC, and the nine fields as i32.
+  EXPECT_EQ(Hex(wal),
+            "5657414c010000000424000000116396d50b0000000c0000000d0000000e0000"
+            "000f00000010000000110000001200000013000000");
+
+  auto decoded = DecodeWal(wal.data(), wal.size());
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->records.size(), 1u);
+  EXPECT_EQ(decoded->records[0].type, WalRecord::kSearchParams);
 }
 
 }  // namespace
