@@ -105,6 +105,13 @@ std::vector<Neighbor> BruteForceSearch(const FloatMatrix& data, Metric metric,
                                        WorkCounters* counters,
                                        const RowFilter* filter) {
   TopKCollector topk(k);
+  ScanRows(data, metric, query, nullptr, filter, counters, &topk);
+  return topk.Take();
+}
+
+void ScanRows(const FloatMatrix& data, Metric metric, const float* query,
+              const int64_t* ids, const RowFilter* filter,
+              WorkCounters* counters, TopKCollector* topk) {
   uint64_t scanned = 0;
   const size_t n = data.rows();
   // Block scan over maximal live runs: contiguous live rows go through the
@@ -124,13 +131,13 @@ std::vector<Neighbor> BruteForceSearch(const FloatMatrix& data, Metric metric,
     }
     DistanceBatch(metric, query, data.Row(i), data.dim(), run - i, dist);
     for (size_t j = 0; j < run - i; ++j) {
-      topk.Offer(static_cast<int64_t>(i + j), dist[j]);
+      topk->Offer(ids != nullptr ? ids[i + j] : static_cast<int64_t>(i + j),
+                  dist[j]);
     }
     scanned += run - i;
     i = run;
   }
   if (counters != nullptr) counters->full_distance_evals += scanned;
-  return topk.Take();
 }
 
 }  // namespace vdt

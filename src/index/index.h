@@ -19,6 +19,7 @@ namespace vdt {
 class ByteReader;
 class ByteWriter;
 class ParallelExecutor;
+class TopKCollector;
 
 /// Index types supported by the VDMS (paper Table I).
 enum class IndexType {
@@ -287,6 +288,16 @@ std::vector<Neighbor> BruteForceSearch(const FloatMatrix& data, Metric metric,
                                        const float* query, size_t k,
                                        WorkCounters* counters,
                                        const RowFilter* filter = nullptr);
+
+/// The scan behind BruteForceSearch: offers every row of `data` that
+/// `filter` declares live (null = all rows) to `topk`, under id `ids[row]`
+/// (null = the row number itself), in row order. Dead rows cost no distance
+/// evaluation; `counters` (may be null) is charged one full evaluation per
+/// live row. Scanning several matrices into one collector therefore gives
+/// the same top-k and counters as scanning their concatenation.
+void ScanRows(const FloatMatrix& data, Metric metric, const float* query,
+              const int64_t* ids, const RowFilter* filter,
+              WorkCounters* counters, TopKCollector* topk);
 
 /// A string identifying the build-affecting subset of (type, params): two
 /// configurations with equal signatures can share one built index and differ

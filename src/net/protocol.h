@@ -154,8 +154,8 @@ struct EndpointStatsWire {
 /// timed_out, protocol_errors), kNumOps endpoint summaries (4 u64 each, op
 /// order ping..stats; terminal error replies are recorded too, so served
 /// percentiles stay honest under saturation), coalesced_requests u64 + the
-/// coalesce batch-size summary (4 u64; count = batches executed by the
-/// coalesce path, including size-1), has_collection u8, then — when set —
+/// coalesce batch-size summary (4 u64; count = Search executions, batches
+/// of one included), has_collection u8, then — when set —
 /// 6 collection counters u64.
 struct StatsReplyWire {
   uint64_t accepted_connections = 0;
@@ -167,7 +167,7 @@ struct StatsReplyWire {
   EndpointStatsWire endpoints[kNumOps];
 
   /// Coalescing: requests served as a non-head member of a batch, and the
-  /// per-batch request-count distribution (count = coalesce executions).
+  /// per-batch request-count distribution (count = Search executions).
   uint64_t coalesced_requests = 0;
   EndpointStatsWire coalesce_batch;
 

@@ -318,7 +318,6 @@ void VdtServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
 
 void VdtServer::WorkerLoop(size_t worker_index) {
   SpscQueue<WorkItem>& queue = *queues_[worker_index];
-  const bool coalesce = options_.coalesce_max > 1;
   // A batch breaker popped by the coalescing drain is served on the next
   // iteration (it may itself head a new batch).
   std::optional<WorkItem> pending;
@@ -330,7 +329,7 @@ void VdtServer::WorkerLoop(size_t worker_index) {
     } else if (!queue.BlockingPop(&item)) {
       break;  // shut down and drained
     }
-    if (coalesce && static_cast<Op>(item.op) == Op::kSearch) {
+    if (static_cast<Op>(item.op) == Op::kSearch) {
       pending = ServeSearchCoalesced(worker_index, std::move(item));
     } else {
       ServeRequest(item);
@@ -454,8 +453,8 @@ std::optional<VdtServer::WorkItem> VdtServer::ServeSearchCoalesced(
   // lists and per-query work counters are independent of batch composition,
   // and each reply's aggregate is the query-order fold of its own queries'
   // counters — exactly what a standalone execution would have produced, so
-  // the demuxed replies below are byte-for-byte identical to uncoalesced
-  // serving (serving_test.cc pins this bit-for-bit).
+  // the demuxed replies below are byte-for-byte identical to serving each
+  // request alone (serving_test.cc pins this bit-for-bit).
   SearchRequest request;
   request.k = key.k;
   if (key.has_knobs) {
@@ -528,32 +527,6 @@ void VdtServer::ServeRequest(const WorkItem& item) {
   switch (static_cast<Op>(item.op)) {
     case Op::kPing:
       break;  // empty reply payload
-    case Op::kSearch: {
-      SearchRequestWire wire;
-      error = decoded(DecodeSearchRequest(item.payload.data(),
-                                          item.payload.size(), &wire));
-      if (!error.ok()) break;
-      SearchRequest request;
-      request.queries = std::move(wire.queries);
-      request.k = wire.k;
-      if (wire.has_knobs) {
-        IndexParams knobs;
-        knobs.nprobe = wire.nprobe;
-        knobs.ef = wire.ef;
-        knobs.reorder_k = wire.reorder_k;
-        request.params = knobs;
-      }
-      Result<SearchResponse> result = engine_->Search(wire.collection, request);
-      if (!result.ok()) {
-        error = result.status();
-        break;
-      }
-      SearchReplyWire out;
-      out.neighbors = std::move(result->neighbors);
-      out.work = result->work;
-      reply = EncodeSearchReply(out);
-      break;
-    }
     case Op::kInsert: {
       InsertRequestWire wire;
       error = decoded(DecodeInsertRequest(item.payload.data(),

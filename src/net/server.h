@@ -11,15 +11,16 @@
 //                       |   frame assembly,    Insert / Delete /
 //                       |   admission)         Stats, timeouts)
 //
-// Request coalescing (the serving-throughput lever): a worker that dequeues
-// a Search greedily drains further compatible queued Searches — same
-// collection, k, knob-override triple, and query dim — into one
-// engine_->Search over the concatenated query batch, then demultiplexes
-// per-request neighbor lists and work counters. Per-query results and the
-// query-order counter fold are independent of batch composition, so every
-// demuxed reply is byte-for-byte what uncoalesced execution would have sent.
-// Non-Search ops, incompatible searches, undecodable payloads, and expired
-// per-request timeouts break the batch.
+// Request coalescing (the serving-throughput lever): every Search is served
+// as a batch. A worker that dequeues a Search greedily drains further
+// compatible queued Searches — same collection, k, knob-override triple,
+// and query dim — into one engine_->Search over the concatenated query
+// batch, then demultiplexes per-request neighbor lists and work counters.
+// Per-query results and the query-order counter fold are independent of
+// batch composition, so every demuxed reply is byte-for-byte what serving
+// the request alone would have sent. Non-Search ops, incompatible searches,
+// undecodable payloads, and expired per-request timeouts break the batch;
+// coalesce_max <= 1 makes every batch a batch of one.
 //
 // Robustness contract:
 //  - Admission control: a full worker queue answers the frame immediately
@@ -88,9 +89,9 @@ struct ServerOptions {
   /// further *compatible* queued Searches (same collection, k, knob-override
   /// triple, and query dim; zero-row Searches are served alone) and
   /// executes them as one engine batch, then demultiplexes per-request
-  /// replies — byte-for-byte identical to uncoalesced execution, typed
-  /// errors included. This caps the total *query* count of one batch;
-  /// <= 1 disables coalescing entirely (the pre-coalescing serve path).
+  /// replies — byte-for-byte identical to serving each alone, typed errors
+  /// included. This caps the total *query* count of one batch; <= 1 means
+  /// batches of one (every Search still takes the same serve path).
   size_t coalesce_max = 32;
 
   /// With coalescing on, a worker whose queue ran dry mid-batch waits up to
@@ -142,8 +143,8 @@ class VdtServer {
     return latency_[static_cast<size_t>(op) - 1];
   }
 
-  /// Per-execution batch sizes (in requests, size-1 included) of the
-  /// coalescing path; empty while coalescing is disabled.
+  /// Batch sizes (in requests, size-1 included) of every Search execution,
+  /// whatever coalesce_max is.
   const LatencyHistogram& coalesce_batch_sizes() const {
     return coalesce_batch_sizes_;
   }
@@ -169,9 +170,10 @@ class VdtServer {
   /// Routes one validated frame to a worker (or answers BUSY).
   void DispatchFrame(const std::shared_ptr<Connection>& conn,
                      const FrameHeader& header, std::vector<uint8_t> payload);
+  /// Serves one request of any op but Search.
   void ServeRequest(const WorkItem& item);
 
-  /// Coalescing serve path: executes `head` (a Search) plus any compatible
+  /// The Search serve path: executes `head` (a Search) plus any compatible
   /// queued followers as one engine batch and demultiplexes the replies.
   /// Returns the popped-but-unserved item that broke the batch (non-Search
   /// op or incompatible Search) for the worker loop to serve next, if any.
@@ -213,7 +215,7 @@ class VdtServer {
 
   ServerCounters counters_;
   LatencyHistogram latency_[kNumOps];
-  LatencyHistogram coalesce_batch_sizes_;  // per-execution sizes, in requests
+  LatencyHistogram coalesce_batch_sizes_;  // per-Search-execution, in requests
 };
 
 }  // namespace net

@@ -9,7 +9,7 @@
 //              [--data-dir=] [--wal-sync=0]
 //
 // --coalesce-max bounds the query count of one coalesced Search batch
-// (<= 1 disables coalescing); --coalesce-window-us lets a worker wait that
+// (<= 1 serves batches of one); --coalesce-window-us lets a worker wait that
 // long for more batchable requests once its queue runs dry.
 //
 // --demo-rows=0 starts an empty engine (create collections via the engine

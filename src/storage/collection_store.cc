@@ -113,15 +113,14 @@ Result<std::unique_ptr<CollectionStore>> CollectionStore::Open(
 }
 
 Status CollectionStore::WriteSegment(const Segment& segment, Metric metric,
-                                     const std::vector<uint8_t>* tombstones,
                                      uint64_t uid) {
   std::vector<uint8_t> bytes;
-  VDT_RETURN_IF_ERROR(EncodeSegmentFile(segment, metric, tombstones, &bytes));
+  VDT_RETURN_IF_ERROR(EncodeSegmentFile(segment, metric, &bytes));
   return AtomicWriteFile(SegmentPath(uid), bytes);
 }
 
-Result<LoadedSegment> CollectionStore::LoadSegment(uint64_t uid,
-                                                   Metric metric) const {
+Result<std::shared_ptr<Segment>> CollectionStore::LoadSegment(
+    uint64_t uid, Metric metric) const {
   return LoadSegmentFile(SegmentPath(uid), metric);
 }
 

@@ -85,13 +85,14 @@ class CollectionStore {
   /// allocates the same uids.
   uint64_t AllocateSegmentUid() { return next_uid_++; }
 
-  /// Atomically writes `segment` as seg-<uid>.vseg, overwriting a file a
-  /// failed checkpoint left behind (it holds the same bytes).
-  Status WriteSegment(const Segment& segment, Metric metric,
-                      const std::vector<uint8_t>* tombstones, uint64_t uid);
+  /// Atomically writes `segment`'s rows and index as seg-<uid>.vseg,
+  /// overwriting a file a failed checkpoint left behind (it holds the same
+  /// bytes). Its tombstones go into the manifest, not the file.
+  Status WriteSegment(const Segment& segment, Metric metric, uint64_t uid);
 
   /// mmaps and decodes seg-<uid>.vseg.
-  Result<LoadedSegment> LoadSegment(uint64_t uid, Metric metric) const;
+  Result<std::shared_ptr<Segment>> LoadSegment(uint64_t uid,
+                                               Metric metric) const;
 
   /// Commits `manifest` as the new durable root (wal_epoch and
   /// next_segment_uid are filled in here), rotates the WAL, and GCs files

@@ -30,8 +30,8 @@
 //       rows        u64
 //       deleted     u64
 //       bitmap      (rows+7)/8 bytes, LSB first — the segment's tombstone
-//                   overlay at checkpoint time (authoritative over the
-//                   segment file's TOMB section, which is seal-time state)
+//                   overlay at checkpoint time (the only copy on disk:
+//                   segment files hold rows and index only)
 //
 // Decoding is total: bad magic/version/CRC or any truncated field yields a
 // typed Status — the "foreign manifest" refusal the server satellite needs.

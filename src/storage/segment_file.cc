@@ -14,11 +14,10 @@ namespace vdt {
 namespace {
 
 constexpr uint32_t kSegmentMagic = 0x47455356;  // 'VSEG'
-constexpr uint32_t kSegmentVersion = 1;
+constexpr uint32_t kSegmentVersion = 2;
 
 constexpr uint32_t kTagMeta = 0x4154454D;   // 'META'
 constexpr uint32_t kTagIds = 0x20534449;    // 'IDS '
-constexpr uint32_t kTagTomb = 0x424D4F54;   // 'TOMB'
 constexpr uint32_t kTagVec = 0x20434556;    // 'VEC '
 constexpr uint32_t kTagIndex = 0x58444E49;  // 'INDX'
 
@@ -49,7 +48,6 @@ struct Section {
 }  // namespace
 
 Status EncodeSegmentFile(const Segment& segment, Metric metric,
-                         const std::vector<uint8_t>* tombstones,
                          std::vector<uint8_t>* out) {
   if (!segment.sealed()) {
     return Status::FailedPrecondition(
@@ -59,11 +57,6 @@ Status EncodeSegmentFile(const Segment& segment, Metric metric,
   const size_t dim = segment.data().dim();
   if (rows == 0 || dim == 0) {
     return Status::FailedPrecondition("segment file: empty segment");
-  }
-  if (tombstones != nullptr && !tombstones->empty() &&
-      tombstones->size() != rows) {
-    return Status::InvalidArgument(
-        "segment file: tombstone overlay size mismatch");
   }
 
   out->clear();
@@ -95,25 +88,6 @@ Status EncodeSegmentFile(const Segment& segment, Metric metric,
     w.U64(segment.ids().size());
     for (int64_t id : segment.ids()) w.I64(id);
     AppendSection(out, kTagIds, payload);
-  }
-
-  // TOMB: packed bitmap, LSB first.
-  {
-    std::vector<uint8_t> payload;
-    ByteWriter w(&payload);
-    uint64_t deleted = 0;
-    std::vector<uint8_t> bits((rows + 7) / 8, 0);
-    if (tombstones != nullptr && !tombstones->empty()) {
-      for (size_t r = 0; r < rows; ++r) {
-        if ((*tombstones)[r] != 0) {
-          bits[r / 8] = static_cast<uint8_t>(bits[r / 8] | (1u << (r % 8)));
-          ++deleted;
-        }
-      }
-    }
-    w.U64(deleted);
-    w.Bytes(bits.data(), bits.size());
-    AppendSection(out, kTagTomb, payload);
   }
 
   // VEC: the pad places the float payload on a 64-byte-aligned file offset,
@@ -149,9 +123,9 @@ Status EncodeSegmentFile(const Segment& segment, Metric metric,
   return Status::OK();
 }
 
-Result<LoadedSegment> DecodeSegmentFile(const uint8_t* bytes, size_t len,
-                                        Metric metric,
-                                        std::shared_ptr<const void> owner) {
+Result<std::shared_ptr<Segment>> DecodeSegmentFile(
+    const uint8_t* bytes, size_t len, Metric metric,
+    std::shared_ptr<const void> owner) {
   ByteReader r(bytes, len);
   uint32_t magic = 0, version = 0;
   if (!r.U32(&magic) || magic != kSegmentMagic) {
@@ -161,7 +135,7 @@ Result<LoadedSegment> DecodeSegmentFile(const uint8_t* bytes, size_t len,
     return Malformed("version");
   }
 
-  Section meta, ids, tomb, vec, index;
+  Section meta, ids, vec, index;
   while (r.remaining() > 0) {
     uint32_t tag = 0, crc = 0;
     uint64_t length = 0;
@@ -177,7 +151,6 @@ Result<LoadedSegment> DecodeSegmentFile(const uint8_t* bytes, size_t len,
     switch (tag) {
       case kTagMeta: slot = &meta; break;
       case kTagIds: slot = &ids; break;
-      case kTagTomb: slot = &tomb; break;
       case kTagVec: slot = &vec; break;
       case kTagIndex: slot = &index; break;
       default: return Malformed("section tag");
@@ -185,7 +158,7 @@ Result<LoadedSegment> DecodeSegmentFile(const uint8_t* bytes, size_t len,
     if (slot->present) return Malformed("duplicate section");
     *slot = Section{payload, static_cast<size_t>(length), true};
   }
-  if (!meta.present || !ids.present || !tomb.present || !vec.present) {
+  if (!meta.present || !ids.present || !vec.present) {
     return Malformed("file (missing section)");
   }
 
@@ -228,28 +201,6 @@ Result<LoadedSegment> DecodeSegmentFile(const uint8_t* bytes, size_t len,
     if (i.remaining() != 0) return Malformed("IDS trailing bytes");
   }
 
-  // TOMB
-  LoadedSegment loaded;
-  {
-    ByteReader t(tomb.payload, tomb.length);
-    uint64_t deleted = 0;
-    const uint8_t* bits = nullptr;
-    const size_t nbytes = static_cast<size_t>((rows + 7) / 8);
-    if (!t.U64(&deleted) || !t.Span(nbytes, &bits) || t.remaining() != 0) {
-      return Malformed("TOMB section");
-    }
-    loaded.tombstones.assign(static_cast<size_t>(rows), 0);
-    uint64_t set = 0;
-    for (uint64_t rr = 0; rr < rows; ++rr) {
-      if ((bits[rr / 8] >> (rr % 8)) & 1u) {
-        loaded.tombstones[static_cast<size_t>(rr)] = 1;
-        ++set;
-      }
-    }
-    if (set != deleted) return Malformed("TOMB count");
-    loaded.deleted = deleted;
-  }
-
   // VEC
   FloatMatrix data;
   {
@@ -282,8 +233,8 @@ Result<LoadedSegment> DecodeSegmentFile(const uint8_t* bytes, size_t len,
     }
   }
 
-  loaded.segment = Segment::Restore(base_id, std::move(data),
-                                    std::move(id_map));
+  std::shared_ptr<Segment> segment =
+      Segment::Restore(base_id, std::move(data), std::move(id_map));
 
   // INDEX: restored against the segment's own matrix so the index's data
   // pointer stays valid for the segment's lifetime.
@@ -292,15 +243,15 @@ Result<LoadedSegment> DecodeSegmentFile(const uint8_t* bytes, size_t len,
         static_cast<IndexType>(index_type), metric, IndexParams{}, 0);
     if (restored == nullptr) return Malformed("INDEX type");
     ByteReader ir(index.payload, index.length);
-    VDT_RETURN_IF_ERROR(
-        restored->RestoreState(&ir, loaded.segment->data()));
+    VDT_RETURN_IF_ERROR(restored->RestoreState(&ir, segment->data()));
     if (ir.remaining() != 0) return Malformed("INDEX trailing bytes");
-    loaded.segment->AttachRestoredIndex(std::move(restored));
+    segment->AttachRestoredIndex(std::move(restored));
   }
-  return loaded;
+  return segment;
 }
 
-Result<LoadedSegment> LoadSegmentFile(const std::string& path, Metric metric) {
+Result<std::shared_ptr<Segment>> LoadSegmentFile(const std::string& path,
+                                                 Metric metric) {
   Result<std::shared_ptr<MappedFile>> mapped = MappedFile::Map(path);
   if (!mapped.ok()) return mapped.status();
   const std::shared_ptr<MappedFile>& file = *mapped;

@@ -3,7 +3,8 @@
 // Layout (all integers little-endian, floats as IEEE-754 bit patterns):
 //
 //   magic   u32  'VSEG' (0x47455356)
-//   version u32  1
+//   version u32  2 (any other version is refused with a typed "version"
+//                error)
 //   then sections, each framed as:
 //     tag     u32   section identifier
 //     length  u64   payload byte count
@@ -15,13 +16,13 @@
 //         metric u8
 //   IDS   count u64 (0 = contiguous ids from base_id, else == rows),
 //         count * i64 ascending collection ids
-//   TOMB  deleted u64, packed tombstone bitmap ((rows+7)/8 bytes, LSB
-//         first) — the overlay state at write time; the manifest's bitmap
-//         (newer) takes precedence on load
 //   VEC   pad u32, pad zero bytes, rows*dim f32 — pad is chosen so the
 //         float payload begins on a 64-byte-aligned *file* offset, letting
 //         the loader hand the mmap'd bytes straight to the block kernels
 //   INDEX (only when has_index) the VectorIndex::SerializeState blob
+//
+// A segment file holds rows and index only: the segment's tombstones live
+// in the manifest (storage/manifest.h), the one place recovery reads them.
 //
 // Decoding is total: every length is bounds-checked against the bytes
 // actually present and every CRC verified before a payload is interpreted,
@@ -42,31 +43,22 @@
 
 namespace vdt {
 
-/// A loaded segment plus the tombstone state recorded in its TOMB section.
-struct LoadedSegment {
-  std::shared_ptr<Segment> segment;
-  std::vector<uint8_t> tombstones;  // one byte per row, 1 = deleted
-  uint64_t deleted = 0;
-};
-
-/// Encodes `segment` (sealed) into the VSEG byte layout. `tombstones` (may
-/// be null/empty) is the overlay to record in the TOMB section, one byte
-/// per row.
+/// Encodes `segment` (sealed) into the VSEG byte layout.
 Status EncodeSegmentFile(const Segment& segment, Metric metric,
-                         const std::vector<uint8_t>* tombstones,
                          std::vector<uint8_t>* out);
 
 /// Decodes a VSEG image held in `bytes`, borrowing the vector payload
 /// in-place: the returned segment's data matrix points into `bytes`, and
 /// `owner` is held alive for as long as the segment (pass the MappedFile
 /// for mmap serving, or any handle owning `bytes`).
-Result<LoadedSegment> DecodeSegmentFile(const uint8_t* bytes, size_t len,
-                                        Metric metric,
-                                        std::shared_ptr<const void> owner);
+Result<std::shared_ptr<Segment>> DecodeSegmentFile(
+    const uint8_t* bytes, size_t len, Metric metric,
+    std::shared_ptr<const void> owner);
 
 /// Maps `path` and decodes it; the mapping stays alive behind the returned
 /// segment (mmap-backed serving).
-Result<LoadedSegment> LoadSegmentFile(const std::string& path, Metric metric);
+Result<std::shared_ptr<Segment>> LoadSegmentFile(const std::string& path,
+                                                 Metric metric);
 
 }  // namespace vdt
 

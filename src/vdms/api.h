@@ -50,8 +50,8 @@ struct CollectionStats {
   size_t num_compactions = 0;  // segment rewrites performed so far
   size_t num_sealed_segments = 0;
   size_t num_indexed_segments = 0;
-  size_t growing_rows = 0;   // growing segment + insert buffer (brute force)
-  size_t buffered_rows = 0;  // insert buffer only
+  size_t growing_rows = 0;   // unsealed + index-less segment rows (brute force)
+  size_t buffered_rows = 0;  // rows since each shard's last flush point
   size_t index_bytes_actual = 0;  // sum of index structures (actual scale)
   double data_mb_paper_scale = 0.0;
   double index_mb_paper_scale = 0.0;

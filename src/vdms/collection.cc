@@ -13,7 +13,8 @@ namespace vdt {
 namespace {
 
 /// A mutable clone of `overlay` sized to `rows` (bits beyond the source
-/// length start live). The copy-on-write step behind every delete.
+/// length start live). The copy-on-write step behind every delete and
+/// every widening of a growing tier's overlay.
 std::shared_ptr<TombstoneOverlay> CloneOverlay(
     const std::shared_ptr<const TombstoneOverlay>& overlay, size_t rows) {
   auto clone = std::make_shared<TombstoneOverlay>();
@@ -47,11 +48,32 @@ constexpr int kMaxShards = 64;
 /// sequence.
 constexpr uint64_t kShardSeedSalt = 1000003;
 
-/// Binary search for `id` in an ascending id vector; -1 when absent.
-int64_t FindId(const std::vector<int64_t>& ids, int64_t id) {
-  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
-  if (it == ids.end() || *it != id) return -1;
-  return static_cast<int64_t>(it - ids.begin());
+/// Appends `chunk` to a growing tier, widening the tier's overlay (when it
+/// has one) so that its bits still span every row.
+void AddChunk(GrowingView& growing,
+              std::shared_ptr<const GrowingChunk> chunk) {
+  growing.rows += chunk->ids.size();
+  growing.chunks.push_back(std::move(chunk));
+  if (growing.tombstones != nullptr) {
+    growing.tombstones = CloneOverlay(growing.tombstones, growing.rows);
+  }
+}
+
+/// Row of collection id `id` in `growing` (its bit in the tier's overlay),
+/// or -1 when absent. Chunks hold ascending, disjoint id ranges, so the
+/// first chunk whose last id reaches `id` is the only one that can hold it.
+int64_t GrowingRowOf(const GrowingView& growing, int64_t id) {
+  size_t offset = 0;
+  for (const std::shared_ptr<const GrowingChunk>& chunk : growing.chunks) {
+    const std::vector<int64_t>& ids = chunk->ids;
+    if (id <= ids.back()) {
+      const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+      if (*it != id) return -1;
+      return static_cast<int64_t>(offset + (it - ids.begin()));
+    }
+    offset += ids.size();
+  }
+  return -1;
 }
 
 }  // namespace
@@ -122,83 +144,53 @@ Status Collection::Insert(const FloatMatrix& rows) {
 
 Status Collection::InsertLocked(const FloatMatrix& rows) {
   if (rows.empty()) return Status::OK();
-  if (dim_ == 0) {
-    dim_ = rows.dim();
-    for (ShardState& shard : shards_) shard.buffer = FloatMatrix(0, dim_);
-  }
+  if (dim_ == 0) dim_ = rows.dim();
   if (rows.dim() != dim_) {
     return Status::InvalidArgument("dimension mismatch on insert");
   }
 
   const size_t buffer_cap = BufferRows();
   const size_t seal_rows = SealRows();
-
-  for (size_t i = 0; i < rows.rows(); ++i) {
+  // This call's rows per shard since that shard's last flush point. A
+  // chunk joins its growing tier at the shard's next flush point or when
+  // the call ends, and is never appended to after that.
+  std::vector<std::shared_ptr<GrowingChunk>> pending(shards_.size());
+  Status st = Status::OK();
+  for (size_t i = 0; i < rows.rows() && st.ok(); ++i) {
     const int64_t id = next_id_++;
     const size_t s = ShardOf(id);
     ShardState& shard = shards_[s];
-    shard.buffer.AppendRow(rows.Row(i), dim_);
-    shard.buffer_ids.push_back(id);
-    shard.buffer_tombstones.push_back(0);
-    if (shard.buffer.rows() >= buffer_cap) {
-      FlushBufferIntoGrowing(shard);
-      if (shard.growing_rows >= seal_rows) {
-        VDT_RETURN_IF_ERROR(SealShardGrowing(s));
-      }
+    if (pending[s] == nullptr) pending[s] = std::make_shared<GrowingChunk>();
+    pending[s]->data.AppendRow(rows.Row(i), dim_);
+    pending[s]->ids.push_back(id);
+    if (++shard.buffered >= buffer_cap) {
+      AddChunk(shard.growing, std::move(pending[s]));
+      shard.buffered = 0;
+      if (shard.growing.rows >= seal_rows) st = SealShardGrowing(s);
     }
   }
-  return Status::OK();
-}
-
-void Collection::FlushBufferIntoGrowing(ShardState& shard) {
-  if (shard.buffer.rows() == 0) return;
-  const size_t old_rows = shard.growing_rows;
-  shard.growing_rows += shard.buffer.rows();
-
-  // Merge tombstones: deletes may have landed on the old growing rows or on
-  // buffered rows before this flush. Overlay bits always span every row.
-  const size_t carried = shard.growing_tombstones != nullptr
-                             ? shard.growing_tombstones->deleted
-                             : 0;
-  if (carried + shard.buffer_deleted > 0) {
-    auto merged = CloneOverlay(shard.growing_tombstones, shard.growing_rows);
-    for (size_t j = 0; j < shard.buffer.rows(); ++j) {
-      if (shard.buffer_tombstones[j] != 0) {
-        merged->bits[old_rows + j] = 1;
-        ++merged->deleted;
-      }
+  // Also after a failed seal: the rows routed so far stay inserted.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (pending[s] != nullptr) {
+      AddChunk(shards_[s].growing, std::move(pending[s]));
     }
-    shard.growing_tombstones = std::move(merged);
   }
-
-  // The buffer matrix (and its id map) becomes a frozen chunk, shared with
-  // every snapshot published from here on — no growing rows are ever
-  // re-copied.
-  shard.growing_chunks.push_back(
-      std::make_shared<const FloatMatrix>(std::move(shard.buffer)));
-  shard.growing_chunk_ids.push_back(
-      std::make_shared<const std::vector<int64_t>>(
-          std::move(shard.buffer_ids)));
-  shard.buffer = FloatMatrix(0, dim_);
-  shard.buffer_ids.clear();
-  shard.buffer_tombstones.clear();
-  shard.buffer_deleted = 0;
+  return st;
 }
 
 Status Collection::SealShardGrowing(size_t shard_index) {
   ShardState& shard = shards_[shard_index];
-  if (shard.growing_chunks.empty()) return Status::OK();
+  if (shard.growing.chunks.empty()) return Status::OK();
   // Concatenate the chunks into one segment under an explicit id map (hash
   // routing makes a shard's ids non-contiguous; with one shard the map is
   // the contiguous range and changes nothing). The segment is invisible
   // until Publish, so it can be built in place.
   auto segment = std::make_shared<Segment>(
-      shard.growing_chunk_ids.front()->front(), dim_);
-  for (size_t c = 0; c < shard.growing_chunks.size(); ++c) {
-    const FloatMatrix& chunk = *shard.growing_chunks[c];
-    const std::vector<int64_t>& ids = *shard.growing_chunk_ids[c];
-    for (size_t r = 0; r < chunk.rows(); ++r) {
-      segment->AppendWithId(chunk.Row(r), dim_, ids[r]);
+      shard.growing.chunks.front()->ids.front(), dim_);
+  for (const std::shared_ptr<const GrowingChunk>& chunk :
+       shard.growing.chunks) {
+    for (size_t r = 0; r < chunk->ids.size(); ++r) {
+      segment->AppendWithId(chunk->data.Row(r), dim_, chunk->ids[r]);
     }
   }
   Status st = segment->Seal(
@@ -209,22 +201,14 @@ Status Collection::SealShardGrowing(size_t shard_index) {
   if (!st.ok()) return st;
   if (store_ != nullptr) {
     // Durable through the WAL, filed at the next checkpoint: the record
-    // that caused this seal is already logged, and Flush writes the segment
-    // file with the overlay it is sealed with. The uid comes from a
+    // that caused this seal is already logged. The uid comes from a
     // checkpointed counter, so a post-crash replay of this seal re-derives
     // it.
-    const uint64_t uid = store_->AllocateSegmentUid();
-    segment->set_storage_uid(uid);
-    if (shard.growing_tombstones != nullptr) {
-      seal_overlays_[uid] = shard.growing_tombstones;
-    }
+    segment->set_storage_uid(store_->AllocateSegmentUid());
   }
   shard.sealed.push_back(
-      SegmentView{std::move(segment), shard.growing_tombstones});
-  shard.growing_chunks.clear();
-  shard.growing_chunk_ids.clear();
-  shard.growing_rows = 0;
-  shard.growing_tombstones.reset();
+      SegmentView{std::move(segment), std::move(shard.growing.tombstones)});
+  shard.growing = GrowingView{};
   return Status::OK();
 }
 
@@ -232,9 +216,7 @@ Status Collection::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
   Status st = Status::OK();
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].buffer.rows() > 0) {
-      FlushBufferIntoGrowing(shards_[s]);
-    }
+    shards_[s].buffered = 0;
     const Status shard_st = SealShardGrowing(s);
     if (!shard_st.ok() && st.ok()) st = shard_st;
   }
@@ -245,7 +227,6 @@ Status Collection::Flush() {
     // root in force and its segments pending for the next Flush.
     st = WriteNewSegmentsLocked();
     if (st.ok()) st = store_->Checkpoint(BuildManifestLocked());
-    if (st.ok()) seal_overlays_.clear();
   }
   Publish();
   return st;
@@ -260,14 +241,9 @@ Status Collection::WriteNewSegmentsLocked() {
     for (const SegmentView& view : shard.sealed) {
       const uint64_t uid = view.segment->storage_uid();
       if (uid < first_new_uid) continue;
-      // A compaction's rewrite starts tombstone-free; a seal records the
-      // overlay it was sealed with. Deletes since then live in the manifest.
-      const auto overlay = seal_overlays_.find(uid);
-      const std::vector<uint8_t>* bits = overlay != seal_overlays_.end()
-                                             ? &overlay->second->bits
-                                             : nullptr;
+      // Only rows: the segment's tombstones live in the manifest.
       VDT_RETURN_IF_ERROR(
-          store_->WriteSegment(*view.segment, options_.metric, bits, uid));
+          store_->WriteSegment(*view.segment, options_.metric, uid));
     }
   }
   return Status::OK();
@@ -299,42 +275,23 @@ Status Collection::DeleteLocked(const std::vector<int64_t>& ids,
   for (const int64_t id : ids) {
     if (id < 0 || id >= next_id_) continue;  // unknown id: ignore
     // Route by the id hash to the row's home shard, then newest-first
-    // within it: recently inserted rows live in the buffer or the growing
-    // chunks; older ones in a sealed segment. Per-shard id sequences are
-    // ascending (rows arrive in global insertion order), so binary search
-    // addresses buffer and chunk rows.
+    // within it: recently inserted rows live in the growing chunks; older
+    // ones in a sealed segment.
     const size_t s = ShardOf(id);
     ShardState& shard = shards_[s];
-    const int64_t buffer_local = FindId(shard.buffer_ids, id);
-    if (buffer_local >= 0) {
-      if (shard.buffer_tombstones[static_cast<size_t>(buffer_local)] == 0) {
-        shard.buffer_tombstones[static_cast<size_t>(buffer_local)] = 1;
-        ++shard.buffer_deleted;
+    const int64_t row = GrowingRowOf(shard.growing, id);
+    if (row >= 0) {
+      if (growing_clones[s] == nullptr) {
+        growing_clones[s] =
+            CloneOverlay(shard.growing.tombstones, shard.growing.rows);
+      }
+      if (growing_clones[s]->bits[row] == 0) {
+        growing_clones[s]->bits[row] = 1;
+        ++growing_clones[s]->deleted;
         ++count;
       }
       continue;
     }
-    bool routed = false;
-    size_t offset = 0;
-    for (size_t c = 0; c < shard.growing_chunks.size() && !routed; ++c) {
-      const std::vector<int64_t>& chunk_ids = *shard.growing_chunk_ids[c];
-      const int64_t local = FindId(chunk_ids, id);
-      if (local >= 0) {
-        if (growing_clones[s] == nullptr) {
-          growing_clones[s] =
-              CloneOverlay(shard.growing_tombstones, shard.growing_rows);
-        }
-        const size_t bit = offset + static_cast<size_t>(local);
-        if (growing_clones[s]->bits[bit] == 0) {
-          growing_clones[s]->bits[bit] = 1;
-          ++growing_clones[s]->deleted;
-          ++count;
-        }
-        routed = true;
-      }
-      offset += chunk_ids.size();
-    }
-    if (routed) continue;
     for (size_t i = 0; i < shard.sealed.size(); ++i) {
       const int64_t local = shard.sealed[i].segment->LocalOf(id);
       if (local < 0) continue;
@@ -353,7 +310,7 @@ Status Collection::DeleteLocked(const std::vector<int64_t>& ids,
 
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (growing_clones[s] != nullptr) {
-      shards_[s].growing_tombstones = std::move(growing_clones[s]);
+      shards_[s].growing.tombstones = std::move(growing_clones[s]);
     }
     for (size_t i = 0; i < shards_[s].sealed.size(); ++i) {
       if (sealed_clones[s][i] != nullptr) {
@@ -439,15 +396,7 @@ void Collection::Publish() {
   auto snap = std::make_shared<CollectionSnapshot>();
   snap->shards.reserve(shards_.size());
   for (const ShardState& shard : shards_) {
-    ShardView view;
-    view.sealed = shard.sealed;
-    view.growing = GrowingView{shard.growing_chunks, shard.growing_chunk_ids,
-                               shard.growing_tombstones, shard.growing_rows};
-    view.buffer.rows = shard.buffer;
-    view.buffer.ids = shard.buffer_ids;
-    view.buffer.tombstones = shard.buffer_tombstones;
-    view.buffer.deleted = shard.buffer_deleted;
-    snap->shards.push_back(std::move(view));
+    snap->shards.push_back(ShardView{shard.sealed, shard.growing});
   }
   snap->metric = options_.metric;
   snap->dim = dim_;
@@ -534,27 +483,24 @@ Result<std::shared_ptr<Collection>> Collection::Restore(
   c.dim_ = static_cast<size_t>(m.dim);
   c.next_id_ = m.next_id;
   c.compactions_ = static_cast<size_t>(m.compactions);
-  if (c.dim_ != 0) {
-    for (ShardState& shard : c.shards_) shard.buffer = FloatMatrix(0, c.dim_);
-  }
 
   for (size_t s = 0; s < m.shards.size(); ++s) {
     for (const ManifestSegment& entry : m.shards[s]) {
-      Result<LoadedSegment> loaded =
+      Result<std::shared_ptr<Segment>> loaded =
           store->LoadSegment(entry.uid, c.options_.metric);
       if (!loaded.ok()) {
         return Status::InvalidArgument(
             "segment " + store->SegmentPath(entry.uid) + ": " +
             loaded.status().message());
       }
-      if (loaded->segment->rows() != entry.rows ||
-          (c.dim_ != 0 && loaded->segment->data().dim() != c.dim_)) {
+      std::shared_ptr<Segment>& segment = *loaded;
+      if (segment->rows() != entry.rows ||
+          (c.dim_ != 0 && segment->data().dim() != c.dim_)) {
         return Status::InvalidArgument(
             "segment " + store->SegmentPath(entry.uid) +
             " does not match its manifest entry");
       }
-      // The manifest bitmap is the checkpoint-time overlay — authoritative
-      // over the seal-time TOMB section inside the segment file.
+      // The segment's tombstones are the manifest's checkpoint-time bitmap.
       std::shared_ptr<const TombstoneOverlay> overlay;
       if (entry.deleted > 0) {
         auto o = std::make_shared<TombstoneOverlay>();
@@ -562,9 +508,9 @@ Result<std::shared_ptr<Collection>> Collection::Restore(
         o->deleted = static_cast<size_t>(entry.deleted);
         overlay = std::move(o);
       }
-      loaded->segment->set_storage_uid(entry.uid);
+      segment->set_storage_uid(entry.uid);
       c.shards_[s].sealed.push_back(
-          SegmentView{std::move(loaded->segment), std::move(overlay)});
+          SegmentView{std::move(segment), std::move(overlay)});
     }
   }
 
@@ -637,18 +583,10 @@ CollectionStats Collection::ComputeStatsLocked() const {
       sh.live_rows += view.live_rows();
       s.index_bytes_actual += seg.IndexMemoryBytes();
     }
-    if (shard.growing_rows > 0) {
-      const size_t deleted = shard.growing_tombstones != nullptr
-                                 ? shard.growing_tombstones->deleted
-                                 : 0;
-      s.growing_rows += shard.growing_rows;
-      sh.stored_rows += shard.growing_rows;
-      sh.live_rows += shard.growing_rows - deleted;
-    }
-    s.growing_rows += shard.buffer.rows();
-    sh.stored_rows += shard.buffer.rows();
-    sh.live_rows += shard.buffer.rows() - shard.buffer_deleted;
-    s.buffered_rows += shard.buffer.rows();
+    s.growing_rows += shard.growing.rows;
+    sh.stored_rows += shard.growing.rows;
+    sh.live_rows += shard.growing.live_rows();
+    s.buffered_rows += shard.buffered;
     sh.tombstoned_rows = sh.stored_rows - sh.live_rows;
     s.stored_rows += sh.stored_rows;
     s.live_rows += sh.live_rows;

@@ -1,15 +1,17 @@
-// A collection: S independent shards, each its own ingest pipeline (insert
-// buffer -> growing chunks -> sealed segments with indexes), plus
-// scatter/gather top-k search across them. This is the unit the tuner's
-// evaluator instantiates per configuration.
+// A collection: S independent shards, each its own ingest pipeline (growing
+// chunks -> sealed segments with indexes), plus scatter/gather top-k search
+// across them. This is the unit the tuner's evaluator instantiates per
+// configuration.
 //
 // Sharding model:
 //  - Rows route to shards by a stable hash of their collection id
 //    (SplitMix64(id) % num_shards), so a row's home shard never changes
 //    across flushes, deletes, or compactions.
-//  - Each shard is an independent segment chain with its own buffer,
-//    growing chunks, and sealed segments; the per-shard thresholds
-//    (insertBufSize, segment_maxSize * sealProportion) apply per shard.
+//  - Each shard is an independent segment chain with its own growing
+//    chunks and sealed segments; the per-shard thresholds (insertBufSize,
+//    segment_maxSize * sealProportion) apply per shard. insertBufSize sets
+//    the shard's flush points (every BufferRows() rows routed to it): at a
+//    flush point the growing tier seals once it holds SealRows() rows.
 //  - Searches scatter across the shards and gather per-shard top-k lists
 //    through a deterministic (distance, id) merge — see
 //    CollectionSnapshot::Search. num_shards == 1 reproduces the
@@ -28,7 +30,6 @@
 #ifndef VDTUNER_VDMS_COLLECTION_H_
 #define VDTUNER_VDMS_COLLECTION_H_
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -108,8 +109,8 @@ class Collection {
   void AttachStore(std::shared_ptr<CollectionStore> store);
 
   /// Rebuilds a collection from its opened store: mmap-loads the sealed
-  /// segments the manifest names (overlaying the manifest's tombstone
-  /// bitmaps, which are authoritative over seal-time state), then replays
+  /// segments the manifest names (each under the manifest's tombstone
+  /// bitmap, the only on-disk copy of its deletes), then replays
   /// the WAL through the same code paths the original mutations took —
   /// ids, seal seeds, and segment uids all re-derive deterministically, so
   /// the result is bit-identical to the pre-restart collection. Returns a
@@ -119,16 +120,19 @@ class Collection {
       std::shared_ptr<CollectionStore> store);
 
   /// Inserts `rows` vectors; each row routes to its id-hash shard, and
-  /// buffering/sealing/index builds happen inline per shard, mirroring the
-  /// data path of the real system. Fails if any sealed segment's index
-  /// build fails (infeasible index parameters).
+  /// sealing/index builds happen inline per shard at its flush points,
+  /// mirroring the data path of the real system. The rows each shard
+  /// receives join its growing tier as immutable chunks (see ShardState),
+  /// which publishing shares, never copies. Fails if any sealed segment's
+  /// index build fails (infeasible index parameters); the rows routed
+  /// before the failure stay inserted.
   Status Insert(const FloatMatrix& rows);
 
   /// Tombstones the rows with collection ids `ids`, wherever they live
   /// (each id routes to its shard, then newest-first within the shard:
-  /// insert buffer, growing chunks, sealed segments). Unknown and
-  /// already-deleted ids are ignored; `deleted` (may be null) receives the
-  /// number of rows newly tombstoned. Ends with a Compact() pass, so a
+  /// growing chunks, then sealed segments). Unknown and already-deleted
+  /// ids are ignored; `deleted` (may be null) receives the number of rows
+  /// newly tombstoned. Ends with a Compact() pass, so a
   /// delete can trigger segment rewrites inline, mirroring Milvus'
   /// single-segment compaction trigger. Tombstone bitmaps are
   /// copy-on-write: searches already in flight keep the pre-delete view.
@@ -154,8 +158,8 @@ class Collection {
   /// its snapshot.
   Status Compact(size_t* compacted = nullptr);
 
-  /// Flushes every shard's insert buffer into its growing tier and seals
-  /// every growing tier (end-of-ingest barrier, like Milvus flush+load).
+  /// A flush point on every shard: seals every growing tier (end-of-ingest
+  /// barrier, like Milvus flush+load).
   /// On a durable collection this is the checkpoint: it writes every
   /// segment file the new manifest names for the first time, then commits
   /// the manifest. A failed write returns its error with the previous
@@ -212,31 +216,26 @@ class Collection {
   /// Rows at which one shard's growing tier seals:
   /// segment_max_size_mb * seal_proportion, in actual rows.
   size_t SealRows() const;
-  /// Per-shard insert-buffer capacity in actual rows.
+  /// Rows between one shard's flush points (the insertBufSize knob, in
+  /// actual rows).
   size_t BufferRows() const;
 
  private:
   /// Writer-side state of one shard: the mutable counterpart of ShardView.
-  /// Chunks and overlays are shared with published snapshots and never
-  /// mutated in place (copy-on-write); the buffer is writer-owned and
-  /// copied at publish time.
+  /// Segments, chunks and overlays are shared with published snapshots and
+  /// never mutated in place (copy-on-write), so Publish copies pointers,
+  /// not rows. An Insert call adds one chunk to each shard it touches per
+  /// flush point it crosses there, plus one for the rows after the last.
+  /// The trade-off: a client sending 1-row Inserts gets 1-row chunks, each
+  /// its own allocation and overlay widening. The growing scan offers every
+  /// chunk to one collector, which keeps many small chunks cheap to search,
+  /// and no Insert or publish ever copies rows already inserted.
   struct ShardState {
     std::vector<SegmentView> sealed;
-    /// The growing tier: one frozen chunk per buffer flush plus the
-    /// parallel per-chunk collection-id map (a shard's ids are
-    /// non-contiguous under hash routing). Keeps streamed ingest O(buffer)
-    /// per flush even though every mutation publishes.
-    std::vector<std::shared_ptr<const FloatMatrix>> growing_chunks;
-    std::vector<std::shared_ptr<const std::vector<int64_t>>>
-        growing_chunk_ids;
-    size_t growing_rows = 0;  // total rows across growing_chunks
-    std::shared_ptr<const TombstoneOverlay> growing_tombstones;
-    FloatMatrix buffer;              // insert buffer (pre-growing rows)
-    std::vector<int64_t> buffer_ids;  // collection id per buffer row
-    /// Tombstones of buffered rows (1 = deleted), parallel to buffer;
-    /// carried into the growing tier on flush so ids stay stable.
-    std::vector<uint8_t> buffer_tombstones;
-    size_t buffer_deleted = 0;  // set bits in buffer_tombstones
+    GrowingView growing;
+    /// Rows routed to this shard since its last flush point (all of them
+    /// in `growing`); the next flush point comes at BufferRows().
+    size_t buffered = 0;
   };
 
   /// Home shard of collection id `id`: SplitMix64(id) % num_shards. Stable
@@ -251,7 +250,7 @@ class Collection {
   /// replay).
   void ApplyRuntimeSystemLocked(const SystemConfig& system);
   /// The current sealed-segment layout as a manifest (checkpoint input).
-  /// Only meaningful when buffers and growing tiers are empty (post-Flush).
+  /// Only meaningful when the growing tiers are empty (post-Flush).
   ManifestData BuildManifestLocked() const;
   /// Writes, in shard then segment order, every sealed segment that has no
   /// file yet: uids are monotone, so those are exactly the uids at or above
@@ -262,10 +261,6 @@ class Collection {
   /// shard's growing tier is empty). The build seed folds in the shard
   /// index, so equal-shaped shards still build distinct k-means draws.
   Status SealShardGrowing(size_t shard_index);
-  /// Freezes `shard`'s insert buffer into a new growing chunk, merging its
-  /// tombstone marks into the shard's growing overlay (no-op on an empty
-  /// buffer).
-  void FlushBufferIntoGrowing(ShardState& shard);
   /// Rebuilds `snapshot_` from the writer state (every shard) and
   /// publishes it.
   void Publish();
@@ -295,11 +290,6 @@ class Collection {
   /// and checkpoints it. WAL replay drives the *Locked variants directly, so
   /// nothing is re-logged, and nothing is written, during recovery.
   std::shared_ptr<CollectionStore> store_;
-  /// The growing-tier overlay each seal since the last checkpoint started
-  /// from, by segment uid (seals with no tombstones are absent): Flush
-  /// writes it as the segment file's TOMB section. Cleared when a
-  /// checkpoint commits.
-  std::map<uint64_t, std::shared_ptr<const TombstoneOverlay>> seal_overlays_;
 };
 
 }  // namespace vdt

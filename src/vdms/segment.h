@@ -1,6 +1,7 @@
-// Segments: the storage unit of the VDMS. Growing segments accumulate rows
-// and are scanned brute-force; sealed segments own an immutable row range
-// and (above the build threshold) an ANNS index.
+// Segments: the storage unit of the VDMS. A segment is built from a seal
+// (a shard's growing chunks, concatenated) or a compaction rewrite, then
+// sealed: it owns an immutable row set and (above the build threshold) an
+// ANNS index.
 //
 // A Segment is the *immutable core* of the snapshot read model: once a
 // segment has been published inside a CollectionSnapshot it is never
@@ -29,17 +30,18 @@
 
 namespace vdt {
 
-/// One sealed or growing segment. Row ids inside the segment are local;
-/// `base_id` maps them back to collection row ids (contiguous range), unless
-/// the segment carries an explicit id map (post-compaction).
+/// One segment. Row ids inside the segment are local; `base_id` maps them
+/// back to collection row ids (contiguous range), unless the segment
+/// carries an explicit id map (seals and compaction rewrites set one).
 class Segment {
  public:
   Segment(int64_t base_id, size_t dim) : base_id_(base_id), data_(0, dim) {}
 
-  /// Appends one row (growing state only).
+  /// Appends one row (before Seal only).
   void Append(const float* row, size_t dim) { data_.AppendRow(row, dim); }
 
-  /// Appends one row under an explicit collection id (compaction rewrites).
+  /// Appends one row under an explicit collection id (seals, compaction
+  /// rewrites).
   /// Ids must be appended in ascending order; mixing with plain Append on
   /// one segment is not supported.
   void AppendWithId(const float* row, size_t dim, int64_t id) {
@@ -93,9 +95,6 @@ class Segment {
                                WorkCounters* counters,
                                const RowFilter* filter = nullptr,
                                const IndexParams* knobs = nullptr) const;
-
-  /// True when collection id `id` maps to a row of this segment.
-  bool Contains(int64_t id) const { return LocalOf(id) >= 0; }
 
   /// Local-row index for collection id `id`, or -1 when absent. Used by the
   /// collection's delete routing to address the tombstone overlay.

@@ -11,52 +11,28 @@ namespace vdt {
 std::vector<Neighbor> GrowingView::Search(Metric metric, const float* query,
                                           size_t k, WorkCounters* counters,
                                           const IdFilter* id_filter) const {
-  TopKCollector merged(k);
+  TopKCollector topk(k);
   size_t offset = 0;
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    const FloatMatrix& chunk = *chunks[c];
-    const std::vector<int64_t>& ids = *chunk_ids[c];
+  for (const std::shared_ptr<const GrowingChunk>& chunk : chunks) {
     // The overlay spans all chunks; offsetting the bitmap pointer gives
     // each chunk its local view of it.
-    const uint8_t* bits = tombstones != nullptr && tombstones->deleted > 0
-                              ? tombstones->bits.data() + offset
-                              : nullptr;
+    const uint8_t* bits =
+        deleted_rows() > 0 ? tombstones->bits.data() + offset : nullptr;
     RowFilter::Predicate local_pred;
     if (id_filter != nullptr) {
-      local_pred = [id_filter, &ids](int64_t local) {
-        return (*id_filter)(ids[static_cast<size_t>(local)]);
+      local_pred = [id_filter, ids = chunk->ids.data()](int64_t local) {
+        return (*id_filter)(ids[local]);
       };
     }
     const RowFilter filter(bits,
                            id_filter != nullptr ? &local_pred : nullptr);
     const RowFilter* fp =
         bits != nullptr || id_filter != nullptr ? &filter : nullptr;
-    for (const Neighbor& n :
-         BruteForceSearch(chunk, metric, query, k, counters, fp)) {
-      merged.Offer(ids[static_cast<size_t>(n.id)], n.distance);
-    }
-    offset += chunk.rows();
+    ScanRows(chunk->data, metric, query, chunk->ids.data(), fp, counters,
+             &topk);
+    offset += chunk->ids.size();
   }
-  return merged.Take();
-}
-
-std::vector<Neighbor> BufferView::Search(Metric metric, const float* query,
-                                         size_t k, WorkCounters* counters,
-                                         const IdFilter* id_filter) const {
-  const uint8_t* bits = deleted > 0 ? tombstones.data() : nullptr;
-  RowFilter::Predicate local_pred;
-  if (id_filter != nullptr) {
-    local_pred = [this, id_filter](int64_t local) {
-      return (*id_filter)(ids[static_cast<size_t>(local)]);
-    };
-  }
-  const RowFilter filter(bits, id_filter != nullptr ? &local_pred : nullptr);
-  const RowFilter* fp =
-      bits != nullptr || id_filter != nullptr ? &filter : nullptr;
-  std::vector<Neighbor> local =
-      BruteForceSearch(rows, metric, query, k, counters, fp);
-  for (Neighbor& n : local) n.id = ids[static_cast<size_t>(n.id)];
-  return local;
+  return topk.Take();
 }
 
 std::vector<Neighbor> SegmentView::Search(Metric metric, const float* query,
@@ -79,18 +55,6 @@ std::vector<Neighbor> SegmentView::Search(Metric metric, const float* query,
   return segment->Search(metric, query, k, counters, fp, knobs);
 }
 
-size_t ShardView::stored_rows() const {
-  size_t n = 0;
-  for (const SegmentView& view : sealed) n += view.rows();
-  return n + growing.rows + buffer.rows.rows();
-}
-
-size_t ShardView::live_rows() const {
-  size_t n = 0;
-  for (const SegmentView& view : sealed) n += view.live_rows();
-  return n + growing.live_rows() + buffer.live_rows();
-}
-
 std::vector<Neighbor> ShardView::Search(Metric metric, const float* query,
                                         size_t k, WorkCounters* counters,
                                         const IdFilter* id_filter,
@@ -110,12 +74,6 @@ std::vector<Neighbor> ShardView::Search(Metric metric, const float* query,
   if (growing.rows > 0) {
     for (const Neighbor& n :
          growing.Search(metric, query, k, counters, id_filter)) {
-      merged.Offer(n.id, n.distance);
-    }
-  }
-  if (buffer.rows.rows() > 0) {
-    for (const Neighbor& n :
-         buffer.Search(metric, query, k, counters, id_filter)) {
       merged.Offer(n.id, n.distance);
     }
   }

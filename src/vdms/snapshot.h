@@ -2,14 +2,14 @@
 //
 // A CollectionSnapshot is an immutable, self-contained view of one
 // published collection state: one ShardView per shard, each holding shared
-// references to that shard's sealed and growing segments, copy-on-write
-// tombstone overlays, and a copy of its insert buffer, plus the statistics
-// / search knobs / runtime system config in effect when the snapshot was
-// published. Searches run *entirely* against a snapshot — no collection or
-// engine lock is held — while writers build the next state copy-on-write
-// and publish it atomically. Segment memory is reclaimed by shared_ptr: a
-// compaction or drop frees a segment only when the last in-flight reader
-// drops its snapshot.
+// references to that shard's sealed segments, growing chunks and
+// copy-on-write tombstone overlays, plus the statistics / search knobs /
+// runtime system config in effect when the snapshot was published.
+// Publishing copies these references, never rows. Searches run *entirely*
+// against a snapshot — no collection or engine lock is held — while writers
+// build the next state copy-on-write and publish it atomically. Segment and
+// chunk memory is reclaimed by shared_ptr: a seal, compaction or drop frees
+// what it replaced only when the last in-flight reader drops its snapshot.
 //
 // Scatter/gather: a query fans out across the shards (each shard answers
 // its own top-k over its segment chain) and the per-shard lists reduce
@@ -42,25 +42,30 @@ struct TombstoneOverlay {
   size_t deleted = 0;
 };
 
-/// One shard's growing tier as a snapshot sees it: frozen row chunks (one
-/// per buffer flush — sharing them keeps streamed ingest O(buffer) per
-/// flush instead of re-copying the growing rows), a parallel per-chunk id
-/// map (the id-hash router makes a shard's collection ids non-contiguous),
-/// and the tombstone overlay that was current at publish time, spanning all
-/// chunks. Chunk boundaries are invisible to results and work counters.
+/// Rows one Insert call routed to one shard between two of that shard's
+/// flush points, frozen: the vectors plus their collection ids (ascending;
+/// the id-hash router makes a shard's ids non-contiguous). Shared by every
+/// snapshot published until the chunk seals, and never appended to.
+struct GrowingChunk {
+  FloatMatrix data;
+  std::vector<int64_t> ids;
+};
+
+/// One shard's growing tier: every row the shard holds that is not sealed
+/// yet, as the chunks its Insert calls added (in id order), plus the
+/// tombstone overlay spanning all of them (null = no deletes). Growing rows
+/// are never indexed; they are scanned brute-force until they seal.
 struct GrowingView {
-  std::vector<std::shared_ptr<const FloatMatrix>> chunks;
-  /// Collection ids per chunk row, parallel to `chunks`; ascending within
-  /// the shard (rows arrive in global insertion order).
-  std::vector<std::shared_ptr<const std::vector<int64_t>>> chunk_ids;
+  std::vector<std::shared_ptr<const GrowingChunk>> chunks;
   std::shared_ptr<const TombstoneOverlay> tombstones;
-  size_t rows = 0;
+  size_t rows = 0;  // total rows across chunks
 
   size_t deleted_rows() const { return tombstones ? tombstones->deleted : 0; }
   size_t live_rows() const { return rows - deleted_rows(); }
 
-  /// Brute-force top-k over the live rows of every chunk (growing rows are
-  /// never indexed); result ids are collection row ids.
+  /// Brute-force top-k over the live rows of every chunk, all offered to
+  /// one collector in id order, so chunk boundaries change neither the
+  /// result nor the work counters. Result ids are collection row ids.
   std::vector<Neighbor> Search(Metric metric, const float* query, size_t k,
                                WorkCounters* counters,
                                const IdFilter* id_filter) const;
@@ -94,45 +99,21 @@ struct SegmentView {
                                const IndexParams* knobs) const;
 };
 
-/// One shard's insert buffer as a snapshot sees it — the one tier copied
-/// per publish, by design: it is bounded by the insertBufSize knob
-/// (hundreds of rows), and copying it is what lets the writer keep
-/// appending in place. `ids` maps buffer rows to collection ids (ascending
-/// within the shard); `tombstones` is parallel to the rows.
-struct BufferView {
-  FloatMatrix rows;
-  std::vector<int64_t> ids;
-  std::vector<uint8_t> tombstones;
-  size_t deleted = 0;
-
-  size_t live_rows() const { return rows.rows() - deleted; }
-
-  /// Brute-force top-k over the live buffered rows; result ids are
-  /// collection row ids.
-  std::vector<Neighbor> Search(Metric metric, const float* query, size_t k,
-                               WorkCounters* counters,
-                               const IdFilter* id_filter) const;
-};
-
 /// One shard of a published collection state: an independent segment chain
-/// (sealed segments -> growing chunks -> insert buffer) holding exactly the
-/// rows the id-hash router assigned to it. The scatter half of every search
-/// runs ShardView::Search once per shard; the gather half merges the
-/// per-shard lists through MergeTopK.
+/// (sealed segments -> growing chunks) holding exactly the rows the id-hash
+/// router assigned to it. The scatter half of every search runs
+/// ShardView::Search once per shard; the gather half merges the per-shard
+/// lists through MergeTopK.
 struct ShardView {
   std::vector<SegmentView> sealed;
   GrowingView growing;  // rows == 0 when absent
-  BufferView buffer;
-
-  size_t stored_rows() const;
-  size_t live_rows() const;
 
   /// This shard's top-k over its live rows, searched in fixed tier order
-  /// (sealed segments, then growing chunks, then the buffer) so the result
-  /// — including first-seen-wins ties at the k boundary — is reproducible.
-  /// `knobs` must be non-null: the caller resolves any per-request override
-  /// once and passes the same effective knobs to every shard (the
-  /// knob-override contract; debug builds assert it). Increments
+  /// (sealed segments, then the growing chunks) so the result — including
+  /// first-seen-wins ties at the k boundary — is reproducible. `knobs` must
+  /// be non-null: the caller resolves any per-request override once and
+  /// passes the same effective knobs to every shard (the knob-override
+  /// contract; debug builds assert it). Increments
   /// `counters->shard_scatters` by one.
   std::vector<Neighbor> Search(Metric metric, const float* query, size_t k,
                                WorkCounters* counters,
@@ -148,8 +129,8 @@ class CollectionSnapshot {
  public:
   /// The one scatter/gather: executes a typed request against this
   /// snapshot. Each query's merged top-k covers the live rows of every
-  /// shard's sealed segments, growing chunks, and buffer copy; tombstoned
-  /// rows never surface. `request.filter` (empty = none) restricts results
+  /// shard's sealed segments and growing chunks; tombstoned rows never
+  /// surface. `request.filter` (empty = none) restricts results
   /// to the collection ids it accepts; `request.params` (unset = this
   /// snapshot's params) overrides the search-time index knobs, resolved
   /// once and applied identically on every shard.

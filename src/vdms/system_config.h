@@ -12,12 +12,16 @@ namespace vdt {
 
 /// System-level knobs shared by every index type. Semantics mirror Milvus:
 ///  - segment_max_size_mb     dataCoord.segment.maxSize: capacity of one
-///                            segment; growing segments seal at
-///                            maxSize * seal_proportion.
+///                            segment; a shard's growing tier seals at
+///                            maxSize * seal_proportion (checked at its
+///                            flush points).
 ///  - seal_proportion         dataCoord.segment.sealProportion.
-///  - insert_buf_size_mb      dataNode.flush.insertBufSize: rows buffer in
-///                            memory before flushing into a growing segment;
-///                            buffered rows are searched brute-force.
+///  - insert_buf_size_mb      dataNode.flush.insertBufSize: sets each
+///                            shard's flush points (one per this many MB
+///                            of rows routed to it), where its growing
+///                            tier may seal; so it decides which rows each
+///                            sealed segment gets. Unsealed rows are
+///                            searched brute-force either way.
 ///  - graceful_time_ms        common.gracefulTime: bounded-staleness window;
 ///                            queries stall while the ingest clock lags by
 ///                            more than this.
@@ -38,8 +42,8 @@ namespace vdt {
 ///  - num_shards              common.shardsNum: independent shards the
 ///                            collection scatters rows across by stable
 ///                            id-hash. Each shard is its own segment chain
-///                            (buffer -> growing -> sealed, with the
-///                            per-shard thresholds above); searches fan out
+///                            (growing -> sealed, with the per-shard
+///                            thresholds above); searches fan out
 ///                            across shards and gather per-shard top-k
 ///                            through a deterministic (distance, id) merge.
 ///                            Layout-affecting (like segment_max_size_mb):

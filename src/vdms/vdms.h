@@ -133,7 +133,7 @@ class VdmsEngine {
   /// when the last in-flight reader drops.
   Status Compact(const std::string& name, size_t* compacted = nullptr);
 
-  /// Flushes buffered rows and seals growing segments of `name`.
+  /// Seals the growing tiers of `name` (a flush point on every shard).
   Status Flush(const std::string& name);
 
   /// Executes a typed search against `name`'s current snapshot, sharding

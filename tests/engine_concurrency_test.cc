@@ -77,13 +77,37 @@ TEST_P(ChurnConcurrencyTest, SearchersSurviveInsertDeleteCompactFlush) {
   ASSERT_TRUE(engine.CreateCollection(ChurnyOptions("churn", kRows)).ok());
   ASSERT_TRUE(engine.Insert("churn", data.Slice(0, kRows / 2)).ok());
   ASSERT_TRUE(engine.Flush("churn").ok());
+  // Unsealed rows, so the snapshot the searchers pin holds growing chunks.
+  size_t inserted = kRows / 2 + kRows / 24;
+  ASSERT_TRUE(engine.Insert("churn", data.Slice(kRows / 2, inserted)).ok());
+  auto handle = engine.Open("churn");
+  ASSERT_TRUE(handle.ok());
+  const auto pinned_before_writes = (*handle)->Snapshot();
+  ASSERT_FALSE(pinned_before_writes->shards[0].growing.chunks.empty());
 
   std::atomic<bool> stop{false};
   std::atomic<size_t> searches{0};
   auto searcher = [&](uint64_t seed) {
     const FloatMatrix queries = RandomMatrix(8, kDim, seed);
+    // A snapshot kept across the writer's Inserts, which share its growing
+    // chunks until Flush seals them: re-searching it must keep returning
+    // exactly what it returned the first time.
+    const auto pinned = pinned_before_writes;
+    const auto first = pinned->Search(SearchRequest::Batch(queries, kK));
+    ASSERT_TRUE(first.ok());
     size_t q = 0;
     while (!stop.load(std::memory_order_relaxed)) {
+      if (q % queries.rows() == 0) {
+        const auto again = pinned->Search(SearchRequest::Batch(queries, kK));
+        ASSERT_TRUE(again.ok());
+        for (size_t i = 0; i < queries.rows(); ++i) {
+          ASSERT_EQ(again->top(i).size(), first->top(i).size());
+          for (size_t j = 0; j < first->top(i).size(); ++j) {
+            EXPECT_EQ(again->top(i)[j].id, first->top(i)[j].id);
+            EXPECT_EQ(again->top(i)[j].distance, first->top(i)[j].distance);
+          }
+        }
+      }
       const auto response = engine.Search(
           "churn",
           SearchRequest::Single(queries.Row(q++ % queries.rows()), kDim, kK));
@@ -100,7 +124,6 @@ TEST_P(ChurnConcurrencyTest, SearchersSurviveInsertDeleteCompactFlush) {
   for (uint64_t t = 0; t < 4; ++t) threads.emplace_back(searcher, 101 + t);
 
   // The writer drives the full mutation surface while searches run.
-  size_t inserted = kRows / 2;
   for (size_t round = 0; round < 6; ++round) {
     const size_t end = std::min(kRows, inserted + kRows / 12);
     if (end > inserted) {

@@ -372,64 +372,6 @@ TEST(CheckpointWriteTest, SegmentFilesAreWrittenOnlyByTheCheckpoint) {
   EXPECT_GE(intermediate, 2u);
 }
 
-// The checkpoint writes a sealed segment with the tombstones it was sealed
-// with (the growing overlay at seal time), not the deletes that landed on
-// it afterwards — those live in the manifest's bitmap. These are the bytes
-// a write at seal time recorded.
-TEST(CheckpointWriteTest, SegmentFileRecordsTheSealTimeOverlay) {
-  const size_t n = 300, dim = 16;
-  const uint64_t seed = 81;
-  const FloatMatrix data = ClusteredMatrix(n, dim, 10, 0.3, seed);
-  TempDir td;
-  VdmsEngineOptions eopts;
-  eopts.data_dir = td.path();
-  const std::string dir = td.path() + "/c";
-
-  VdmsEngine engine(eopts);
-  // Laid out for 900 rows (~135-row segments, ~36-row buffers): the first
-  // 100 rows stay in the growing tier, the next 200 seal one per shard.
-  ASSERT_TRUE(
-      engine.CreateCollection(ChurnOptions(IndexType::kIvfFlat, 900, seed))
-          .ok());
-  const std::set<int64_t> before_seal = {1, 5, 9};
-  const std::set<int64_t> after_seal = {20, 30};
-  ASSERT_TRUE(engine.Insert("c", data.Slice(0, 100)).ok());
-  auto handle = engine.Open("c");
-  ASSERT_TRUE(handle.ok());
-  ASSERT_EQ((*handle)->Stats().num_sealed_segments, 0u);
-  ASSERT_TRUE(engine.Delete("c", {1, 5, 9}).ok());
-  ASSERT_TRUE(engine.Insert("c", data.Slice(100, n)).ok());
-  for (const int64_t id : after_seal) {
-    bool sealed = false;
-    for (const ShardView& shard : (*handle)->Snapshot()->shards) {
-      for (const SegmentView& view : shard.sealed) {
-        sealed = sealed || view.segment->LocalOf(id) >= 0;
-      }
-    }
-    ASSERT_TRUE(sealed) << "id " << id << " is not sealed yet";
-  }
-  size_t deleted = 0;
-  ASSERT_TRUE(engine.Delete("c", {20, 30}, &deleted).ok());
-  ASSERT_EQ(deleted, 2u);
-  ASSERT_TRUE(engine.Flush("c").ok());
-
-  size_t recorded = 0, live_after_seal = 0;
-  for (const auto& [name, bytes] : SegmentFiles(dir)) {
-    auto loaded = LoadSegmentFile(dir + "/" + name, Metric::kAngular);
-    ASSERT_TRUE(loaded.ok()) << name;
-    const Segment& segment = *loaded->segment;
-    for (size_t r = 0; r < segment.rows(); ++r) {
-      const int64_t id = segment.IdAt(r);
-      const bool bit = !loaded->tombstones.empty() && loaded->tombstones[r];
-      EXPECT_EQ(bit, before_seal.count(id) != 0) << name << " id " << id;
-      recorded += bit ? 1 : 0;
-      live_after_seal += after_seal.count(id);
-    }
-  }
-  EXPECT_EQ(recorded, before_seal.size());
-  EXPECT_EQ(live_after_seal, after_seal.size());
-}
-
 // A checkpoint whose segment write fails (here: the file-size limit, a
 // disk-full stand-in) returns that error before the manifest is touched, so
 // the previous root stays in force. The next Flush writes what is pending,

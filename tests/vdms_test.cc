@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/parallel_executor.h"
 #include "tests/test_util.h"
 #include "vdms/memory_model.h"
@@ -683,6 +686,253 @@ TEST(LifecycleTest, StreamedInsertsAcrossChunkBoundaries) {
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_NE(hits[0].id, id) << "deleted row " << id << " after seal";
   }
+}
+
+// ------------------------------------------- insert-call boundaries
+
+/// Everything one observation point of a lifecycle recorded: the stats and
+/// a query batch's full response.
+struct Observation {
+  CollectionStats stats;
+  SearchResponse response;
+};
+
+uint32_t Bits(float f) {
+  uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+void ExpectSameCounters(const WorkCounters& a, const WorkCounters& b) {
+  EXPECT_EQ(a.full_distance_evals, b.full_distance_evals);
+  EXPECT_EQ(a.coarse_distance_evals, b.coarse_distance_evals);
+  EXPECT_EQ(a.code_distance_evals, b.code_distance_evals);
+  EXPECT_EQ(a.pq_lookup_ops, b.pq_lookup_ops);
+  EXPECT_EQ(a.table_build_flops, b.table_build_flops);
+  EXPECT_EQ(a.graph_hops, b.graph_hops);
+  EXPECT_EQ(a.reorder_evals, b.reorder_evals);
+  EXPECT_EQ(a.shard_scatters, b.shard_scatters);
+  EXPECT_EQ(a.gather_candidates, b.gather_candidates);
+}
+
+void ExpectSameObservation(const Observation& a, const Observation& b) {
+  EXPECT_EQ(a.stats.total_rows, b.stats.total_rows);
+  EXPECT_EQ(a.stats.stored_rows, b.stats.stored_rows);
+  EXPECT_EQ(a.stats.live_rows, b.stats.live_rows);
+  EXPECT_EQ(a.stats.num_compactions, b.stats.num_compactions);
+  EXPECT_EQ(a.stats.num_sealed_segments, b.stats.num_sealed_segments);
+  EXPECT_EQ(a.stats.num_indexed_segments, b.stats.num_indexed_segments);
+  EXPECT_EQ(a.stats.growing_rows, b.stats.growing_rows);
+  EXPECT_EQ(a.stats.buffered_rows, b.stats.buffered_rows);
+  EXPECT_EQ(a.stats.index_bytes_actual, b.stats.index_bytes_actual);
+  ASSERT_EQ(a.stats.shards.size(), b.stats.shards.size());
+  for (size_t s = 0; s < a.stats.shards.size(); ++s) {
+    EXPECT_EQ(a.stats.shards[s].stored_rows, b.stats.shards[s].stored_rows);
+    EXPECT_EQ(a.stats.shards[s].live_rows, b.stats.shards[s].live_rows);
+    EXPECT_EQ(a.stats.shards[s].sealed_segments,
+              b.stats.shards[s].sealed_segments);
+  }
+  ASSERT_EQ(a.response.neighbors.size(), b.response.neighbors.size());
+  for (size_t q = 0; q < a.response.neighbors.size(); ++q) {
+    const auto& x = a.response.neighbors[q];
+    const auto& y = b.response.neighbors[q];
+    ASSERT_EQ(x.size(), y.size()) << "query " << q;
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].id, y[i].id) << "query " << q << " rank " << i;
+      EXPECT_EQ(Bits(x[i].distance), Bits(y[i].distance))
+          << "query " << q << " rank " << i;
+    }
+    ExpectSameCounters(a.response.query_work[q], b.response.query_work[q]);
+  }
+  ExpectSameCounters(a.response.work, b.response.work);
+}
+
+/// Serialized index state of `segment` (empty for a brute-force segment).
+std::vector<uint8_t> IndexBytes(const Segment& segment) {
+  std::vector<uint8_t> bytes;
+  if (segment.indexed()) {
+    ByteWriter writer(&bytes);
+    EXPECT_TRUE(segment.index()->SerializeState(&writer).ok());
+  }
+  return bytes;
+}
+
+class InsertSplitTest : public ::testing::TestWithParam<int> {};
+
+// How a client batches its Inserts must not show: flush points count rows
+// per shard, not calls, so every split of the same rows — with the same
+// deletes at the same points — seals the same segments and answers every
+// query with the same neighbors, distance bits and work.
+TEST_P(InsertSplitTest, InsertCallBoundariesAreInvisible) {
+  const size_t n = 900, dim = 16;
+  CollectionOptions opts = SmallOptions(n);
+  opts.system.segment_max_size_mb = 100.0;
+  opts.system.seal_proportion = 0.1;     // 90-row seals
+  opts.system.insert_buf_size_mb = 2.5;  // flush points every 22 rows
+  opts.system.compaction_deleted_ratio = 0.2;
+  opts.system.num_shards = GetParam();
+  opts.index.params.nlist = 8;
+  opts.index.params.nprobe = 3;
+  const FloatMatrix data = ClusteredMatrix(n, dim, 8, 0.3, 57);
+  const FloatMatrix queries = ClusteredMatrix(16, dim, 8, 0.35, 58);
+  // Deletes land after these row counts, in every split: the last row
+  // (buffered), a row a few flush points back (growing) and early rows
+  // (sealed); the second batch tombstones enough of the oldest rows to
+  // trigger compactions.
+  const std::vector<size_t> delete_points = {470, 700, 850};
+  const auto victims_at = [](size_t point, size_t index) {
+    std::vector<int64_t> ids = {static_cast<int64_t>(point) - 1,
+                                static_cast<int64_t>(point) - 40,
+                                static_cast<int64_t>(index) + 3};
+    if (index == 1) {
+      for (int64_t id = 10; id < 250; id += 2) ids.push_back(id);
+    }
+    return ids;
+  };
+
+  // Call-size generators: one call, fixed sizes, and seeded random sizes.
+  std::vector<std::pair<std::string, std::function<size_t(Rng&)>>> splits = {
+      {"one call", [n](Rng&) { return n; }},
+      {"1", [](Rng&) { return size_t{1}; }},
+      {"7", [](Rng&) { return size_t{7}; }},
+      {"64", [](Rng&) { return size_t{64}; }},
+      {"200", [](Rng&) { return size_t{200}; }},
+      {"random", [](Rng& rng) {
+         return static_cast<size_t>(rng.UniformInt(int64_t{1}, int64_t{150}));
+       }},
+  };
+
+  std::vector<Observation> reference;
+  std::vector<std::shared_ptr<const CollectionSnapshot>> reference_flushed;
+  for (auto& [name, next_size] : splits) {
+    SCOPED_TRACE("split: " + name);
+    Collection coll(opts);
+    Rng rng(59);
+    std::vector<Observation> observed;
+    size_t inserted = 0;
+    for (size_t d = 0; d <= delete_points.size(); ++d) {
+      const size_t until = d < delete_points.size() ? delete_points[d] : n;
+      while (inserted < until) {
+        const size_t end = std::min(until, inserted + next_size(rng));
+        ASSERT_TRUE(coll.Insert(data.Slice(inserted, end)).ok());
+        inserted = end;
+      }
+      if (d < delete_points.size()) {
+        if (d == 0) {
+          // Every tier is populated when the first deletes land.
+          const CollectionStats before = coll.Stats();
+          ASSERT_GT(before.num_sealed_segments, 0u);
+          ASSERT_GT(before.buffered_rows, 0u);
+          ASSERT_GT(before.growing_rows, before.buffered_rows);
+        }
+        ASSERT_TRUE(coll.Delete(victims_at(until, d)).ok());
+      }
+      auto response = coll.Search(SearchRequest::Batch(queries, 10));
+      ASSERT_TRUE(response.ok());
+      observed.push_back({coll.Stats(), std::move(*response)});
+    }
+    ASSERT_GT(observed.back().stats.num_compactions, 0u);
+    ASSERT_TRUE(coll.Flush().ok());
+    auto response = coll.Search(SearchRequest::Batch(queries, 10));
+    ASSERT_TRUE(response.ok());
+    observed.push_back({coll.Stats(), std::move(*response)});
+
+    if (reference.empty()) {
+      reference = std::move(observed);
+      reference_flushed.push_back(coll.Snapshot());
+      continue;
+    }
+    ASSERT_EQ(observed.size(), reference.size());
+    for (size_t i = 0; i < observed.size(); ++i) {
+      SCOPED_TRACE("observation " + std::to_string(i));
+      ExpectSameObservation(reference[i], observed[i]);
+    }
+    const auto& want = reference_flushed.front()->shards;
+    const auto& got = coll.Snapshot()->shards;
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t s = 0; s < got.size(); ++s) {
+      EXPECT_EQ(got[s].growing.rows, 0u);
+      ASSERT_EQ(got[s].sealed.size(), want[s].sealed.size()) << "shard " << s;
+      for (size_t i = 0; i < got[s].sealed.size(); ++i) {
+        const Segment& a = *want[s].sealed[i].segment;
+        const Segment& b = *got[s].sealed[i].segment;
+        ASSERT_EQ(a.rows(), b.rows()) << "shard " << s << " segment " << i;
+        for (size_t r = 0; r < a.rows(); ++r) {
+          ASSERT_EQ(a.IdAt(r), b.IdAt(r));
+        }
+        EXPECT_EQ(std::memcmp(a.data().RawData(), b.data().RawData(),
+                              a.rows() * dim * sizeof(float)),
+                  0);
+        EXPECT_EQ(IndexBytes(a), IndexBytes(b));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, InsertSplitTest, ::testing::Values(1, 3));
+
+// Publishing copies no rows: every mutation's snapshot shares the growing
+// chunks it did not change with the snapshot before it, and a snapshot
+// taken before an Insert keeps answering exactly as it did.
+TEST(LifecycleTest, PublishingSharesGrowingChunks) {
+  CollectionOptions opts = SmallOptions(900);
+  opts.system.segment_max_size_mb = 100.0;
+  opts.system.seal_proportion = 0.1;     // 90-row seals
+  opts.system.insert_buf_size_mb = 2.5;  // flush points every 22 rows
+  opts.system.num_shards = 2;
+  Collection coll(opts);
+  const FloatMatrix data = RandomMatrix(400, 16, 66);
+  const FloatMatrix queries = RandomMatrix(8, 16, 67);
+  ASSERT_TRUE(coll.Insert(data.Slice(0, 390)).ok());
+
+  const auto expect_shared = [](const CollectionSnapshot& before,
+                                const CollectionSnapshot& after,
+                                bool same_count) {
+    for (size_t s = 0; s < before.shards.size(); ++s) {
+      const auto& old_chunks = before.shards[s].growing.chunks;
+      const auto& new_chunks = after.shards[s].growing.chunks;
+      ASSERT_FALSE(old_chunks.empty()) << "shard " << s;
+      ASSERT_GE(new_chunks.size(), old_chunks.size()) << "shard " << s;
+      if (same_count) {
+        EXPECT_EQ(new_chunks.size(), old_chunks.size());
+      }
+      for (size_t c = 0; c < old_chunks.size(); ++c) {
+        EXPECT_EQ(new_chunks[c].get(), old_chunks[c].get())
+            << "shard " << s << " chunk " << c;
+      }
+    }
+  };
+
+  const auto before_insert = coll.Snapshot();
+  ASSERT_GT(before_insert->stats.num_sealed_segments, 0u);
+  const auto first = before_insert->Search(SearchRequest::Batch(queries, 5));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(coll.Insert(data.Slice(390, 400)).ok());
+  const auto after_insert = coll.Snapshot();
+  ASSERT_EQ(after_insert->stats.num_sealed_segments,
+            before_insert->stats.num_sealed_segments);
+  expect_shared(*before_insert, *after_insert, /*same_count=*/false);
+  const auto again = before_insert->Search(SearchRequest::Batch(queries, 5));
+  ASSERT_TRUE(again.ok());
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    ASSERT_EQ(again->top(q).size(), first->top(q).size());
+    for (size_t i = 0; i < first->top(q).size(); ++i) {
+      EXPECT_EQ(again->top(q)[i].id, first->top(q)[i].id);
+      EXPECT_EQ(Bits(again->top(q)[i].distance),
+                Bits(first->top(q)[i].distance));
+    }
+  }
+
+  size_t deleted = 0;
+  ASSERT_TRUE(coll.Delete({0}, &deleted).ok());  // a sealed row
+  ASSERT_EQ(deleted, 1u);
+  const auto after_delete = coll.Snapshot();
+  expect_shared(*after_insert, *after_delete, /*same_count=*/true);
+
+  IndexParams params = opts.index.params;
+  params.nprobe = 4;
+  ASSERT_TRUE(coll.UpdateSearchParams(params).ok());
+  expect_shared(*after_delete, *coll.Snapshot(), /*same_count=*/true);
 }
 
 TEST(VdmsEngineTest, SingleRequestWithNullQueryIsEmptyNotUB) {
