@@ -131,7 +131,6 @@ void GaussianProcess::Refit(const KernelParams& params) {
     if (chol.ok()) {
       chol_ = std::move(*chol);
       alpha_ = CholeskySolve(chol_, train_y_std_);
-      lml_ = EvalLml(params);
       fitted_ = true;
       return;
     }

@@ -57,13 +57,6 @@ class GaussianProcess {
   /// Requires a successful Fit().
   GpPrediction Predict(const std::vector<double>& x) const;
 
-  /// Log marginal likelihood of the fitted model (standardized units).
-  double LogMarginalLikelihood() const { return lml_; }
-
-  bool fitted() const { return fitted_; }
-  const KernelParams& kernel_params() const { return params_; }
-  size_t num_observations() const { return train_x_.size(); }
-
  private:
   /// LML for given hyperparameters on the standardized targets, or -inf when
   /// the Gram matrix is not SPD.
@@ -81,7 +74,6 @@ class GaussianProcess {
   KernelParams params_;
   Matrix chol_;                 // lower Cholesky factor of K + noise*I
   std::vector<double> alpha_;   // (K + noise*I)^{-1} y
-  double lml_ = 0.0;
   bool fitted_ = false;
 };
 
@@ -99,9 +91,6 @@ class MultiOutputGp {
 
   /// Predicts all outputs at x.
   std::vector<GpPrediction> Predict(const std::vector<double>& x) const;
-
-  size_t num_outputs() const { return gps_.size(); }
-  const GaussianProcess& output(size_t k) const { return gps_[k]; }
 
  private:
   std::vector<GaussianProcess> gps_;

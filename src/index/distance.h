@@ -59,9 +59,9 @@ void DistanceBatch(Metric metric, const float* query, const float* rows,
 
 /// SQ8-asymmetric scan: one float query against n contiguous 8-bit code
 /// rows (`codes` holds n * dim bytes; value = vmin[d] + vscale[d] *
-/// code[d], the index/sq8.h layout). Fills out[i] with the metric-
-/// transformed distance, matching what Distance() would return on the
-/// dequantized row.
+/// code[d], the IVF_SQ8 layout in index/ivf_index.h). Fills out[i] with the
+/// metric-transformed distance, matching what Distance() would return on
+/// the dequantized row.
 void Sq8Batch(Metric metric, const float* query, const uint8_t* codes,
               const float* vmin, const float* vscale, size_t dim, size_t n,
               float* out);

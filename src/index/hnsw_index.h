@@ -49,8 +49,6 @@ class HnswIndex : public VectorIndex {
   IndexType type() const override { return IndexType::kHnsw; }
   size_t Size() const override { return data_ ? data_->rows() : 0; }
 
-  int max_level() const { return max_level_; }
-
   /// Graph state: params, seed, entry point, per-node levels, level-0 and
   /// upper-layer adjacency. Restore validates every link target and the
   /// entry point against `data` before the graph is searchable.

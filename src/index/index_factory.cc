@@ -3,7 +3,6 @@
 #include "index/hnsw_index.h"
 #include "index/index.h"
 #include "index/ivf_index.h"
-#include "index/scann_index.h"
 
 namespace vdt {
 

@@ -7,7 +7,6 @@
 
 #include "common/parallel_executor.h"
 #include "index/index_io.h"
-#include "index/sq8.h"
 #include "index/topk.h"
 
 namespace vdt {
@@ -32,7 +31,7 @@ Status IvfBaseIndex::Build(const FloatMatrix& data) {
       std::min<size_t>(static_cast<size_t>(params_.nlist), data.rows());
 
   KMeansOptions kopts;
-  kopts.seed = seed_;
+  kopts.seed = CoarseSeed();
   kopts.executor = executor;
   KMeansResult km = KMeansCluster(data, nlist, kopts);
   centroids_ = std::move(km.centroids);
@@ -150,6 +149,72 @@ size_t IvfFlatIndex::MemoryBytes() const {
 
 // ----------------------------------------------------------------- IVF_SQ8
 
+namespace {
+
+/// Fits the per-dimension [vmin, vmin + 255 * vscale] range over all rows of
+/// `data`. Per-chunk min/max partials merge in chunk order (min/max is
+/// order-independent, so this is exact for any executor width).
+void FitSq8Range(const FloatMatrix& data, ParallelExecutor* executor,
+                 std::vector<float>* vmin, std::vector<float>* vscale) {
+  const size_t dim = data.dim();
+  constexpr size_t kChunk = 1024;
+  const size_t num_chunks = (data.rows() + kChunk - 1) / kChunk;
+  std::vector<std::vector<float>> chunk_min(num_chunks), chunk_max(num_chunks);
+  ParallelChunks(executor, data.rows(), kChunk,
+                 [&](size_t chunk, size_t begin, size_t end) {
+                   std::vector<float>& lo = chunk_min[chunk];
+                   std::vector<float>& hi = chunk_max[chunk];
+                   lo.assign(dim, std::numeric_limits<float>::max());
+                   hi.assign(dim, std::numeric_limits<float>::lowest());
+                   for (size_t i = begin; i < end; ++i) {
+                     const float* row = data.Row(i);
+                     for (size_t d = 0; d < dim; ++d) {
+                       lo[d] = std::min(lo[d], row[d]);
+                       hi[d] = std::max(hi[d], row[d]);
+                     }
+                   }
+                 });
+  vmin->assign(dim, std::numeric_limits<float>::max());
+  std::vector<float> vmax(dim, std::numeric_limits<float>::lowest());
+  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+    for (size_t d = 0; d < dim; ++d) {
+      (*vmin)[d] = std::min((*vmin)[d], chunk_min[chunk][d]);
+      vmax[d] = std::max(vmax[d], chunk_max[chunk][d]);
+    }
+  }
+  vscale->resize(dim);
+  for (size_t d = 0; d < dim; ++d) {
+    (*vscale)[d] = (vmax[d] - (*vmin)[d]) / 255.0f;
+    if ((*vscale)[d] <= 0.f) (*vscale)[d] = 1e-12f;
+  }
+}
+
+/// Encodes every list's members into contiguous SQ8 codes, one task per
+/// list across the executor (each list's codes are independent).
+void EncodeSq8Lists(const FloatMatrix& data,
+                    const std::vector<std::vector<int64_t>>& list_ids,
+                    const std::vector<float>& vmin,
+                    const std::vector<float>& vscale,
+                    ParallelExecutor* executor,
+                    std::vector<std::vector<uint8_t>>* list_codes) {
+  const size_t dim = data.dim();
+  list_codes->resize(list_ids.size());
+  auto encode_list = [&](size_t l) {
+    (*list_codes)[l].resize(list_ids[l].size() * dim);
+    for (size_t j = 0; j < list_ids[l].size(); ++j) {
+      const float* row = data.Row(list_ids[l][j]);
+      uint8_t* code = &(*list_codes)[l][j * dim];
+      for (size_t d = 0; d < dim; ++d) {
+        const float q = (row[d] - vmin[d]) / vscale[d];
+        code[d] = static_cast<uint8_t>(std::clamp(q + 0.5f, 0.0f, 255.0f));
+      }
+    }
+  };
+  ParallelForOrInline(executor, list_ids.size(), encode_list);
+}
+
+}  // namespace
+
 Status IvfSq8Index::EncodeLists(const FloatMatrix& data,
                                 ParallelExecutor* executor) {
   FitSq8Range(data, executor, &vmin_, &vscale_);
@@ -183,11 +248,11 @@ Status IvfSq8Index::RestoreExtra(ByteReader* reader, const FloatMatrix& data) {
   return Status::OK();
 }
 
-std::vector<Neighbor> IvfSq8Index::SearchFiltered(
-    const float* query, size_t k, const RowFilter* filter,
-    WorkCounters* counters, const IndexParams* knobs) const {
+void IvfSq8Index::ScanProbedCells(const float* query, const RowFilter* filter,
+                                  WorkCounters* counters,
+                                  const IndexParams* knobs,
+                                  TopKCollector* topk) const {
   const size_t dim = data_->dim();
-  TopKCollector topk(k);
   uint64_t scanned = 0;
   // Each list's codes are one contiguous block (list slot j at codes +
   // j * dim), so live slot runs scan through the SQ8 block kernel; dead
@@ -209,21 +274,32 @@ std::vector<Neighbor> IvfSq8Index::SearchFiltered(
       }
       Sq8Batch(metric_, query, codes + j * dim, vmin_.data(), vscale_.data(),
                dim, run - j, dist);
-      for (size_t t = 0; t < run - j; ++t) topk.Offer(ids[j + t], dist[t]);
+      for (size_t t = 0; t < run - j; ++t) topk->Offer(ids[j + t], dist[t]);
       scanned += run - j;
       j = run;
     }
   }
   if (counters != nullptr) counters->code_distance_evals += scanned;
+}
+
+std::vector<Neighbor> IvfSq8Index::SearchFiltered(
+    const float* query, size_t k, const RowFilter* filter,
+    WorkCounters* counters, const IndexParams* knobs) const {
+  TopKCollector topk(k);
+  ScanProbedCells(query, filter, counters, knobs, &topk);
   return topk.Take();
+}
+
+void IvfSq8Index::KeepRows(const std::vector<int64_t>& old_to_new,
+                           const FloatMatrix& data) {
+  data_ = &data;
+  FilterPostingLists(old_to_new, data.dim(), &list_ids_, &list_codes_);
 }
 
 std::unique_ptr<VectorIndex> IvfSq8Index::FilteredCopy(
     const std::vector<int64_t>& old_to_new, const FloatMatrix& data) const {
   auto copy = std::make_unique<IvfSq8Index>(*this);
-  copy->data_ = &data;
-  FilterPostingLists(old_to_new, data.dim(), &copy->list_ids_,
-                     &copy->list_codes_);
+  copy->KeepRows(old_to_new, data);
   return copy;
 }
 
@@ -233,6 +309,52 @@ size_t IvfSq8Index::MemoryBytes() const {
   for (const auto& list : list_ids_) bytes += list.size() * sizeof(int64_t);
   for (const auto& codes : list_codes_) bytes += codes.size();
   return bytes;
+}
+
+// ------------------------------------------------------------------- SCANN
+
+std::vector<Neighbor> ScannIndex::SearchFiltered(
+    const float* query, size_t k, const RowFilter* filter,
+    WorkCounters* counters, const IndexParams* knobs) const {
+  const int reorder_knob =
+      knobs != nullptr ? knobs->reorder_k : params_.reorder_k;
+  const size_t reorder_k =
+      std::max<size_t>(k, static_cast<size_t>(std::max(1, reorder_knob)));
+  TopKCollector approx(reorder_k);
+  ScanProbedCells(query, filter, counters, knobs, &approx);
+
+  // Exact re-ranking of the surviving candidates: candidate rows are
+  // scattered, so gather them into one contiguous block and run a single
+  // one-to-many scan (the gather is a straight memcpy; the scan is where
+  // the flops are). The rescored list reduces to top-k through MergeTopK,
+  // the same deterministic (distance, id)-ordered reduce the scatter/gather
+  // search path uses.
+  const size_t dim = data_->dim();
+  std::vector<Neighbor> candidates = approx.Take();
+  std::vector<float> gathered(candidates.size() * dim);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    std::copy_n(data_->Row(candidates[i].id), dim, &gathered[i * dim]);
+  }
+  std::vector<float> exact_dist(candidates.size());
+  DistanceBatch(metric_, query, gathered.data(), dim, candidates.size(),
+                exact_dist.data());
+  if (counters != nullptr) {
+    counters->reorder_evals += candidates.size();
+    counters->full_distance_evals += candidates.size();
+  }
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    candidates[i].distance = exact_dist[i];
+  }
+  std::vector<std::vector<Neighbor>> rescored;
+  rescored.push_back(std::move(candidates));
+  return MergeTopK(std::move(rescored), k);
+}
+
+std::unique_ptr<VectorIndex> ScannIndex::FilteredCopy(
+    const std::vector<int64_t>& old_to_new, const FloatMatrix& data) const {
+  auto copy = std::make_unique<ScannIndex>(*this);
+  copy->KeepRows(old_to_new, data);
+  return copy;
 }
 
 // ------------------------------------------------------------------ IVF_PQ

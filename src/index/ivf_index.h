@@ -1,8 +1,9 @@
-// The IVF (inverted-file) index family: IVF_FLAT, IVF_SQ8, IVF_PQ
-// (paper Table I). A k-means coarse quantizer partitions the segment into
-// nlist cells; queries probe the nprobe nearest cells and score their
+// The IVF (inverted-file) index family: IVF_FLAT, IVF_SQ8, IVF_PQ and
+// SCANN (paper Table I). A k-means coarse quantizer partitions the segment
+// into nlist cells; queries probe the nprobe nearest cells and score their
 // members exactly (FLAT), via 8-bit scalar quantization (SQ8), or via
-// product-quantization ADC (PQ).
+// product-quantization ADC (PQ). SCANN is IVF_SQ8 plus an exact re-rank of
+// the best reorder_k SQ8 candidates.
 #ifndef VDTUNER_INDEX_IVF_INDEX_H_
 #define VDTUNER_INDEX_IVF_INDEX_H_
 
@@ -47,6 +48,9 @@ class IvfBaseIndex : public VectorIndex {
     (void)data;
     return Status::OK();
   }
+  /// Hook: the k-means seed of the coarse quantizer. SerializeState records
+  /// seed_, never this.
+  virtual uint64_t CoarseSeed() const { return seed_; }
   /// Hook: encode the per-list payload after coarse clustering. `executor`
   /// is the build executor resolved from params_.build_threads (null = run
   /// inline); implementations must keep the encoded payload bit-identical
@@ -94,7 +98,10 @@ class IvfFlatIndex : public IvfBaseIndex {
 };
 
 /// IVF_SQ8: probed cells are scored on 8-bit scalar-quantized codes
-/// (4x memory reduction; small recall loss from quantization error).
+/// (4x memory reduction; small recall loss from quantization error). The
+/// quantizer is global and per dimension, value = vmin[d] + code[d] *
+/// vscale[d], fitted over every row; each list's codes are one contiguous
+/// block, list slot j at j * dim.
 class IvfSq8Index : public IvfBaseIndex {
  public:
   using IvfBaseIndex::IvfBaseIndex;
@@ -115,10 +122,45 @@ class IvfSq8Index : public IvfBaseIndex {
   Status SerializeExtra(ByteWriter* writer) const override;
   Status RestoreExtra(ByteReader* reader, const FloatMatrix& data) override;
 
+  /// Probes the cells `knobs` (or params_) selects and offers their members
+  /// that `filter` declares live to `topk`, scored on their codes. Charges
+  /// the coarse probe and one code evaluation per offered row.
+  void ScanProbedCells(const float* query, const RowFilter* filter,
+                       WorkCounters* counters, const IndexParams* knobs,
+                       TopKCollector* topk) const;
+  /// Attaches this copy to `data` and drops the rows `old_to_new` maps to
+  /// -1 from every list, codes slot for slot (the FilteredCopy contract).
+  void KeepRows(const std::vector<int64_t>& old_to_new,
+                const FloatMatrix& data);
+
  private:
-  /// Per-dimension affine dequantization: value = vmin[d] + code * vscale[d].
   std::vector<float> vmin_, vscale_;
   std::vector<std::vector<uint8_t>> list_codes_;  // per list: n_i * dim codes
+};
+
+/// SCANN: IVF_SQ8's scan picks the best reorder_k candidates (at least k),
+/// which are re-ranked on exact distances. Its cells use a salted k-means
+/// seed. Search parameters: nprobe, reorder_k.
+class ScannIndex : public IvfSq8Index {
+ public:
+  using IvfSq8Index::IvfSq8Index;
+
+  /// `knobs` (may be null) overrides nprobe/reorder_k for this call only.
+  std::vector<Neighbor> SearchFiltered(const float* query, size_t k,
+                                       const RowFilter* filter,
+                                       WorkCounters* counters,
+                                       const IndexParams* knobs) const override;
+  void UpdateSearchParams(const IndexParams& params) override {
+    params_.nprobe = params.nprobe;
+    params_.reorder_k = params.reorder_k;
+  }
+  IndexType type() const override { return IndexType::kScann; }
+  std::unique_ptr<VectorIndex> FilteredCopy(
+      const std::vector<int64_t>& old_to_new,
+      const FloatMatrix& data) const override;
+
+ protected:
+  uint64_t CoarseSeed() const override { return seed_ + 17; }
 };
 
 /// IVF_PQ: probed cells are scored with product-quantization asymmetric

@@ -74,8 +74,8 @@ using L2BatchFn = void (*)(const float* query, const float* rows, size_t dim,
 
 /// SQ8-asymmetric block kernels: one float query against n contiguous
 /// 8-bit-code rows (`codes` holds n * dim bytes). Codes dequantize per
-/// dimension as value = vmin[d] + vscale[d] * code[d] (the IVF_SQ8/SCANN
-/// layout from index/sq8.h); the query stays full precision.
+/// dimension as value = vmin[d] + vscale[d] * code[d] (the IVF_SQ8 layout
+/// in index/ivf_index.h); the query stays full precision.
 using Sq8L2BatchFn = void (*)(const float* query, const uint8_t* codes,
                               const float* vmin, const float* vscale,
                               size_t dim, size_t n, float* out);

@@ -43,8 +43,8 @@ float ScalarL2(const float* a, const float* b, size_t dim) {
   return acc0 + acc1 + acc2 + acc3;
 }
 
-// Dequantization matches index/sq8.h exactly: vmin[d] + vscale[d] * code[d],
-// each step rounded in float.
+// Dequantization matches IVF_SQ8 (index/ivf_index.h) exactly: vmin[d] +
+// vscale[d] * code[d], each step rounded in float.
 float ScalarSq8L2(const float* q, const uint8_t* code, const float* vmin,
                   const float* vscale, size_t dim) {
   float acc0 = 0.f, acc1 = 0.f, acc2 = 0.f, acc3 = 0.f;

@@ -110,12 +110,6 @@ void AssignAll(const FloatMatrix& centroids, const FloatMatrix& data,
 
 }  // namespace
 
-int32_t NearestCentroid(const FloatMatrix& centroids, const float* x) {
-  std::vector<float> dist(centroids.rows());
-  L2Batch(x, centroids.Row(0), centroids.dim(), centroids.rows(), dist.data());
-  return ArgminDistance(dist.data(), centroids.rows());
-}
-
 KMeansResult KMeansCluster(const FloatMatrix& data, size_t k,
                            const KMeansOptions& options) {
   KMeansResult result;

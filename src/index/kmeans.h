@@ -40,9 +40,6 @@ struct KMeansResult {
 KMeansResult KMeansCluster(const FloatMatrix& data, size_t k,
                            const KMeansOptions& options);
 
-/// Index of the nearest centroid to `x` (L2).
-int32_t NearestCentroid(const FloatMatrix& centroids, const float* x);
-
 /// Scatters row ids into per-cluster lists: result[c] holds every i with
 /// assignments[i] == c, ascending. Chunk-counted and offset-filled so the
 /// parallel scatter produces exactly the sequential push_back order for any

@@ -82,17 +82,6 @@ bool GetCounters(ByteReader* r, WorkCounters* c) {
 
 }  // namespace
 
-const char* OpName(uint8_t op_byte) {
-  switch (op_byte) {
-    case static_cast<uint8_t>(Op::kPing): return "ping";
-    case static_cast<uint8_t>(Op::kSearch): return "search";
-    case static_cast<uint8_t>(Op::kInsert): return "insert";
-    case static_cast<uint8_t>(Op::kDelete): return "delete";
-    case static_cast<uint8_t>(Op::kStats): return "stats";
-    default: return "op?";
-  }
-}
-
 bool IsRequestOp(uint8_t op_byte) {
   return op_byte >= static_cast<uint8_t>(Op::kPing) &&
          op_byte <= static_cast<uint8_t>(Op::kStats);

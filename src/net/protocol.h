@@ -65,9 +65,6 @@ enum class Op : uint8_t {
 
 inline constexpr int kNumOps = 5;
 
-/// "ping" / "search" / ... ; "op<N>" for out-of-range bytes.
-const char* OpName(uint8_t op_byte);
-
 /// True when `op_byte` names a request operation.
 bool IsRequestOp(uint8_t op_byte);
 

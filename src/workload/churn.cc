@@ -7,18 +7,6 @@
 
 namespace vdt {
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kInsert:
-      return "insert";
-    case OpKind::kDelete:
-      return "delete";
-    case OpKind::kSearch:
-      return "search";
-  }
-  return "?";
-}
-
 size_t ChurnWorkload::num_searches() const {
   size_t n = 0;
   for (const ChurnOp& op : ops) n += op.kind == OpKind::kSearch ? 1 : 0;

@@ -24,8 +24,6 @@ namespace vdt {
 /// The operation kinds of a mixed timeline.
 enum class OpKind { kInsert, kDelete, kSearch };
 
-const char* OpKindName(OpKind kind);
-
 /// One timeline step. Exactly the fields for its kind are meaningful.
 struct ChurnOp {
   OpKind kind = OpKind::kSearch;

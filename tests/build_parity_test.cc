@@ -2,7 +2,8 @@
 // (IVF_FLAT/SQ8/PQ, SCANN) and FLAT must produce bit-identical structures
 // for every build_threads value; HNSW must be deterministic per mode and
 // recall-equivalent across modes, with its graph bytes pinned per kernel
-// backend. Also covers the chunked kmeans/scatter primitives, the
+// backend; the kmeans family's state bytes and answers are pinned per
+// backend too. Also covers the chunked kmeans/scatter primitives, the
 // n < threads and odd-dim edge cases, the collection-level plumbing, and
 // the named build error messages.
 #include <gtest/gtest.h>
@@ -364,6 +365,158 @@ TEST(HnswBuildParityTest, GraphBytesPinnedPerBackend) {
       EXPECT_EQ(Fnv1a(bytes), *want)
           << pin.name << " under " << name << ": got 0x" << std::hex
           << Fnv1a(bytes);
+    }
+  }
+}
+
+// ------------------------------------ k-means family bytes and answers pinned
+
+/// One digest per x86-64 backend.
+struct BackendDigests {
+  uint64_t scalar;
+  uint64_t avx2;
+  uint64_t avx512;
+
+  const uint64_t* For(const std::string& backend) const {
+    if (backend == "scalar") return &scalar;
+    if (backend == "avx2") return &avx2;
+    if (backend == "avx512") return &avx512;
+    return nullptr;
+  }
+};
+
+/// One pinned k-means-family index: the FNV-1a digests of its SerializeState
+/// bytes, of its answers, and of its FilteredCopy.
+struct FamilyPin {
+  IndexType type;
+  BackendDigests state;
+  BackendDigests answers;
+  BackendDigests copy;
+};
+
+/// Appends the neighbors (ids and distance bits) and every WorkCounters
+/// field of `index`'s answers to `queries` to `out`.
+void AppendAnswers(const VectorIndex& index, const FloatMatrix& queries,
+                   size_t k, const RowFilter* filter, const IndexParams* knobs,
+                   ByteWriter* out) {
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    WorkCounters work;
+    const std::vector<Neighbor> hits =
+        index.SearchFiltered(queries.Row(q), k, filter, &work, knobs);
+    out->U64(hits.size());
+    for (const Neighbor& hit : hits) {
+      out->I64(hit.id);
+      out->F32(hit.distance);
+    }
+    for (uint64_t field :
+         {work.full_distance_evals, work.coarse_distance_evals,
+          work.code_distance_evals, work.pq_lookup_ops,
+          work.table_build_flops, work.graph_hops, work.reorder_evals,
+          work.shard_scatters, work.gather_candidates}) {
+      out->U64(field);
+    }
+  }
+}
+
+// Pins what an IVF_FLAT, IVF_SQ8, IVF_PQ or SCANN build writes and answers
+// under each backend: the state bytes; 16 queries' neighbors, distance bits
+// and work counters, with and without a tombstone filter and a per-call
+// knob override; and the compaction copy's state bytes, type(), memory and
+// answers. The builds do not depend on the metric; L2 searches keep clear of
+// the SQ8 dot kernel, whose avx512 form depends on the CPU's VNNI support.
+// Backends without a recorded digest are skipped.
+TEST(KMeansFamilyPinnedTest, BytesAndAnswersPinnedPerBackend) {
+  const FamilyPin pins[] = {
+      {IndexType::kIvfFlat,
+       {0x82ae0e08d7214494ull, 0x82ae0e08d7214494ull, 0x82ae0e08d7214494ull},
+       {0x1a0539f824f8a75dull, 0x7ce67bb8c4e63bb9ull, 0xce649af221f1d4c5ull},
+       {0xbd8a35aabda000a9ull, 0xa1f6ed7a0e9db6fcull, 0xdd8be816b10f3b39ull}},
+      {IndexType::kIvfSq8,
+       {0xbe528233a8f6765cull, 0xbe528233a8f6765cull, 0xbe528233a8f6765cull},
+       {0x57fcafb541b1a1e8ull, 0x72707ebac76c91f0ull, 0x0313969eb2b49b3bull},
+       {0x1233e563ee39faf3ull, 0xdc7d4cb8b3afc246ull, 0x4958d2362383f54dull}},
+      {IndexType::kIvfPq,
+       {0x3620bca5c4f5c201ull, 0x3620bca5c4f5c201ull, 0x3620bca5c4f5c201ull},
+       {0x5ad20907e07b1e6bull, 0x94b0b46f8500d956ull, 0x176a4fe30be5244bull},
+       {0x211cd05bd095b359ull, 0x82b385b51c9bf89cull, 0xb2b969caaccf0bf5ull}},
+      {IndexType::kScann,
+       {0xa972ea6e57817f2bull, 0xa972ea6e57817f2bull, 0xa972ea6e57817f2bull},
+       {0x9eadbc7297826dd5ull, 0x5f76c34a2e9a7bd7ull, 0x1fc7068febd8f2d8ull},
+       {0x28e609db017d890dull, 0xc33bbc1151447fb7ull, 0x5342fc0d109b16c5ull}},
+  };
+  constexpr size_t kRows = 2400, kDim = 32, kK = 10;
+  const FloatMatrix data = PinnedRows(kRows, kDim, 71, false, 0);
+  const FloatMatrix queries = PinnedRows(16, kDim, 72, false, 0);
+
+  // Tombstones in short dead runs and isolated holes; the copy keeps the
+  // live rows in their old order.
+  std::vector<uint8_t> tombstones(kRows, 0);
+  std::vector<int64_t> old_to_new(kRows, -1);
+  std::vector<size_t> kept;
+  for (size_t i = 0; i < kRows; ++i) {
+    tombstones[i] = (i % 7 == 3 || i % 11 == 5 || i % 13 == 6) ? 1 : 0;
+    if (tombstones[i] != 0) continue;
+    old_to_new[i] = static_cast<int64_t>(kept.size());
+    kept.push_back(i);
+  }
+  FloatMatrix kept_rows(kept.size(), kDim);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    std::copy_n(data.Row(kept[i]), kDim, kept_rows.Row(i));
+  }
+  const RowFilter filter(tombstones.data());
+
+  IndexParams params;
+  params.nlist = 24;
+  params.nprobe = 5;
+  params.m = 8;
+  params.nbits = 6;
+  params.reorder_k = 30;
+  IndexParams knobs = params;
+  knobs.nprobe = 11;
+  knobs.reorder_k = 17;
+  const RowFilter* const filters[] = {nullptr, &filter};
+  const IndexParams* const overrides[] = {nullptr, &knobs};
+
+  BackendGuard guard;
+  for (const kernels::Backend* backend : kernels::AvailableBackends()) {
+    const std::string name = backend->name;
+    ASSERT_TRUE(kernels::SetActive(name));
+    for (const FamilyPin& pin : pins) {
+      const char* type_name = IndexTypeName(pin.type);
+      const uint64_t* want_state = pin.state.For(name);
+      if (want_state == nullptr) continue;
+      auto index = CreateIndex(pin.type, Metric::kL2, params, 23);
+      ASSERT_TRUE(index->Build(data).ok()) << type_name;
+
+      std::vector<uint8_t> state;
+      ByteWriter state_writer(&state);
+      ASSERT_TRUE(index->SerializeState(&state_writer).ok()) << type_name;
+      EXPECT_EQ(Fnv1a(state), *want_state)
+          << type_name << " state under " << name << ": got 0x" << std::hex
+          << Fnv1a(state);
+
+      std::vector<uint8_t> answers;
+      ByteWriter answers_writer(&answers);
+      for (const RowFilter* f : filters) {
+        for (const IndexParams* kn : overrides) {
+          AppendAnswers(*index, queries, kK, f, kn, &answers_writer);
+        }
+      }
+      EXPECT_EQ(Fnv1a(answers), *pin.answers.For(name))
+          << type_name << " answers under " << name << ": got 0x" << std::hex
+          << Fnv1a(answers);
+
+      auto copy = index->FilteredCopy(old_to_new, kept_rows);
+      ASSERT_NE(copy, nullptr) << type_name;
+      std::vector<uint8_t> copied;
+      ByteWriter copy_writer(&copied);
+      ASSERT_TRUE(copy->SerializeState(&copy_writer).ok()) << type_name;
+      copy_writer.U8(static_cast<uint8_t>(copy->type()));
+      copy_writer.U64(copy->MemoryBytes());
+      AppendAnswers(*copy, queries, kK, nullptr, nullptr, &copy_writer);
+      EXPECT_EQ(Fnv1a(copied), *pin.copy.For(name))
+          << type_name << " copy under " << name << ": got 0x" << std::hex
+          << Fnv1a(copied);
     }
   }
 }

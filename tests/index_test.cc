@@ -17,7 +17,6 @@
 #include "index/index.h"
 #include "index/ivf_index.h"
 #include "index/kmeans.h"
-#include "index/scann_index.h"
 #include "index/topk.h"
 #include "tests/test_util.h"
 
