@@ -1,13 +1,13 @@
-// Microbenchmarks (google-benchmark): sequential vs parallel index
-// construction for every index family the tuner builds per iteration —
+// Microbenchmarks (google-benchmark): index construction time against
+// build_threads for every index family the tuner builds per iteration —
 // kmeans-backed IVF_FLAT/IVF_SQ8/IVF_PQ/SCANN and graph-backed HNSW. The
 // build is the dominant per-iteration cost of the tuning loop (paper §V,
 // Table VI), so the thread-scaling measured here is the wall-clock lever
 // behind every tuner baseline and fig*/table* target.
 //
-// Thread counts sweep {1, 2, 4, 8}; 1 is the sequential baseline. The
-// kmeans-family results are bit-identical across the sweep (see the
-// VectorIndex::Build determinism contract), so this measures pure speedup.
+// Thread counts sweep {1, 2, 4, 8}; 1 builds inline on the calling thread.
+// Every index is bit-identical across the sweep (see the VectorIndex::Build
+// determinism contract), so this measures pure speedup.
 #include <benchmark/benchmark.h>
 
 #include "index/index.h"

@@ -75,11 +75,12 @@ int main(int argc, char** argv) {
     TablePrinter sweep({"nprobe", "recall@10", "scanned/query"});
     for (int nprobe : {1, 2, 4, 8, 16, 32, 64}) {
       params.nprobe = nprobe;
-      index->UpdateSearchParams(params);
       double recall = 0.0;
       WorkCounters work;
       for (size_t q = 0; q < queries.rows(); ++q) {
-        recall += RecallAtK(index->Search(queries.Row(q), k, &work), truth[q]);
+        recall += RecallAtK(
+            index->SearchFiltered(queries.Row(q), k, nullptr, &work, &params),
+            truth[q]);
       }
       sweep.Row()
           .Cell(int64_t{nprobe})
@@ -98,11 +99,12 @@ int main(int argc, char** argv) {
     TablePrinter sweep({"ef", "recall@10", "dists/query"});
     for (int ef : {10, 20, 40, 80, 160, 320}) {
       params.ef = ef;
-      index->UpdateSearchParams(params);
       double recall = 0.0;
       WorkCounters work;
       for (size_t q = 0; q < queries.rows(); ++q) {
-        recall += RecallAtK(index->Search(queries.Row(q), k, &work), truth[q]);
+        recall += RecallAtK(
+            index->SearchFiltered(queries.Row(q), k, nullptr, &work, &params),
+            truth[q]);
       }
       sweep.Row()
           .Cell(int64_t{ef})

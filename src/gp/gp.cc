@@ -1,19 +1,66 @@
 #include "gp/gp.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numbers>
 
+#include "common/random.h"
+
 namespace vdt {
+
+namespace {
+/// Observation noise floor added to the kernel diagonal.
+constexpr double kNoiseVariance = 1e-6;
+/// Random-search candidates, then coordinate-refinement sweeps, of the
+/// hyperparameter search.
+constexpr int kHyperCandidates = 24;
+constexpr int kRefineSweeps = 2;
+/// Bounds of the ARD length scales.
+constexpr double kMinLengthScale = 0.05;
+constexpr double kMaxLengthScale = 3.0;
+}  // namespace
 
 double GpPrediction::stddev() const {
   return std::sqrt(std::max(0.0, variance));
 }
 
-GaussianProcess::GaussianProcess(GpOptions options,
-                                 std::shared_ptr<const Kernel> kernel)
-    : options_(options), kernel_(std::move(kernel)) {}
+KernelParams KernelParams::Uniform(size_t dim, double ls, double signal_var) {
+  KernelParams p;
+  p.signal_variance = signal_var;
+  p.length_scales.assign(dim, ls);
+  return p;
+}
+
+double Matern52(const std::vector<double>& x, const std::vector<double>& y,
+                const KernelParams& params) {
+  assert(x.size() == y.size() && x.size() == params.length_scales.size());
+  double acc = 0.0;  // squared ARD-scaled distance
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double d = (x[i] - y[i]) / params.length_scales[i];
+    acc += d * d;
+  }
+  const double r = std::sqrt(acc);
+  const double sqrt5_r = std::sqrt(5.0) * r;
+  return params.signal_variance * (1.0 + sqrt5_r + 5.0 * r * r / 3.0) *
+         std::exp(-sqrt5_r);
+}
+
+Matrix Matern52Gram(const std::vector<std::vector<double>>& points,
+                    const KernelParams& params) {
+  const size_t n = points.size();
+  Matrix k(n, n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    k(i, i) = Matern52(points[i], points[i], params);
+    for (size_t j = i + 1; j < n; ++j) {
+      const double v = Matern52(points[i], points[j], params);
+      k(i, j) = v;
+      k(j, i) = v;
+    }
+  }
+  return k;
+}
 
 Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
                             const std::vector<double>& y) {
@@ -53,18 +100,18 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
     params_ = KernelParams::Uniform(d, 0.5, 1.0);
   }
 
-  if (options_.optimize_hyperparams && n >= 3) {
-    Rng rng(options_.seed);
+  if (n >= 3) {
+    Rng rng(seed_);
     KernelParams best = params_;
     double best_lml = EvalLml(best);
 
     // Multi-start random search in log space.
-    for (int c = 0; c < options_.num_hyper_candidates; ++c) {
+    for (int c = 0; c < kHyperCandidates; ++c) {
       KernelParams cand;
       cand.signal_variance = std::exp(rng.Uniform(std::log(0.1), std::log(4.0)));
       cand.length_scales.resize(d);
-      const double lo = std::log(options_.min_length_scale);
-      const double hi = std::log(options_.max_length_scale);
+      const double lo = std::log(kMinLengthScale);
+      const double hi = std::log(kMaxLengthScale);
       for (size_t i = 0; i < d; ++i) {
         cand.length_scales[i] = std::exp(rng.Uniform(lo, hi));
       }
@@ -77,7 +124,7 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
 
     // Coordinate refinement: multiplicative steps per hyperparameter.
     const double kSteps[] = {0.5, 0.8, 1.25, 2.0};
-    for (int sweep = 0; sweep < options_.num_refine_sweeps; ++sweep) {
+    for (int sweep = 0; sweep < kRefineSweeps; ++sweep) {
       for (size_t i = 0; i <= d; ++i) {  // i == d refines signal variance
         for (double step : kSteps) {
           KernelParams cand = best;
@@ -85,9 +132,8 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
             cand.signal_variance =
                 std::clamp(cand.signal_variance * step, 1e-3, 1e3);
           } else {
-            cand.length_scales[i] =
-                std::clamp(cand.length_scales[i] * step,
-                           options_.min_length_scale, options_.max_length_scale);
+            cand.length_scales[i] = std::clamp(
+                cand.length_scales[i] * step, kMinLengthScale, kMaxLengthScale);
           }
           const double lml = EvalLml(cand);
           if (lml > best_lml) {
@@ -109,8 +155,8 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
 
 double GaussianProcess::EvalLml(const KernelParams& params) const {
   const size_t n = train_x_.size();
-  Matrix k = kernel_->Gram(train_x_, params);
-  auto chol = CholeskyFactor(k, options_.noise_variance);
+  Matrix k = Matern52Gram(train_x_, params);
+  auto chol = CholeskyFactor(k, kNoiseVariance);
   if (!chol.ok()) return -std::numeric_limits<double>::infinity();
   const std::vector<double> alpha = CholeskySolve(*chol, train_y_std_);
   const double data_fit = -0.5 * Dot(train_y_std_, alpha);
@@ -122,10 +168,10 @@ double GaussianProcess::EvalLml(const KernelParams& params) const {
 
 void GaussianProcess::Refit(const KernelParams& params) {
   fitted_ = false;
-  Matrix k = kernel_->Gram(train_x_, params);
+  Matrix k = Matern52Gram(train_x_, params);
   // Escalate jitter until the factorization succeeds; observation noise acts
   // as the base jitter.
-  double jitter = options_.noise_variance;
+  double jitter = kNoiseVariance;
   for (int attempt = 0; attempt < 8; ++attempt) {
     auto chol = CholeskyFactor(k, jitter);
     if (chol.ok()) {
@@ -141,22 +187,23 @@ void GaussianProcess::Refit(const KernelParams& params) {
 GpPrediction GaussianProcess::Predict(const std::vector<double>& x) const {
   GpPrediction out;
   if (!fitted_) return out;
-  const std::vector<double> kstar = kernel_->Cross(x, train_x_, params_);
+  std::vector<double> kstar(train_x_.size());
+  for (size_t i = 0; i < train_x_.size(); ++i) {
+    kstar[i] = Matern52(x, train_x_[i], params_);
+  }
   const double mean_std = Dot(kstar, alpha_);
   const std::vector<double> v = ForwardSolve(chol_, kstar);
-  const double kxx = kernel_->Eval(x, x, params_);
+  const double kxx = Matern52(x, x, params_);
   const double var_std = std::max(0.0, kxx - Dot(v, v));
   out.mean = mean_std * y_scale_ + y_mean_;
   out.variance = var_std * y_scale_ * y_scale_;
   return out;
 }
 
-MultiOutputGp::MultiOutputGp(size_t num_outputs, GpOptions options) {
+MultiOutputGp::MultiOutputGp(size_t num_outputs, uint64_t seed) {
   gps_.reserve(num_outputs);
   for (size_t k = 0; k < num_outputs; ++k) {
-    GpOptions opt = options;
-    opt.seed = options.seed + k * 101;  // decorrelate hyperparameter searches
-    gps_.emplace_back(opt);
+    gps_.emplace_back(seed + k * 101);  // decorrelate hyperparameter searches
   }
 }
 

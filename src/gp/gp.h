@@ -1,17 +1,16 @@
 // Gaussian-process regression: the surrogate model of VDTuner and of the
 // BO-based baselines (OtterTune-like, qEHVI). Inputs live in [0,1]^d; targets
-// are standardized internally. Hyperparameters are fit by maximizing the log
+// are standardized internally. The covariance is Matern-5/2 with ARD length
+// scales (paper §IV-B), whose hyperparameters are fit by maximizing the log
 // marginal likelihood with a seeded multi-start random search plus coordinate
 // refinement (derivative-free, deterministic).
 #ifndef VDTUNER_GP_GP_H_
 #define VDTUNER_GP_GP_H_
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
-#include "common/random.h"
 #include "common/status.h"
-#include "gp/kernel.h"
 #include "linalg/matrix.h"
 
 namespace vdt {
@@ -24,29 +23,32 @@ struct GpPrediction {
   double stddev() const;
 };
 
-/// Options controlling GP fitting.
-struct GpOptions {
-  /// Observation noise floor added to the kernel diagonal.
-  double noise_variance = 1e-6;
-  /// Whether Fit() optimizes hyperparameters (else keeps defaults/current).
-  bool optimize_hyperparams = true;
-  /// Random-search candidates for hyperparameter optimization.
-  int num_hyper_candidates = 24;
-  /// Coordinate-refinement sweeps after random search.
-  int num_refine_sweeps = 2;
-  /// Log-space bounds for ARD length scales.
-  double min_length_scale = 0.05;
-  double max_length_scale = 3.0;
-  /// Seed for the hyperparameter search.
-  uint64_t seed = 7;
+/// Kernel hyperparameters: one signal variance plus one length scale per
+/// input dimension (automatic relevance determination).
+struct KernelParams {
+  double signal_variance = 1.0;
+  std::vector<double> length_scales;  // size d, all > 0
+
+  /// Uniform length scale `ls` across `dim` dimensions.
+  static KernelParams Uniform(size_t dim, double ls = 0.5,
+                              double signal_var = 1.0);
 };
 
-/// Exact GP regression with a pluggable kernel (default Matern-5/2).
+/// Matern-5/2: k(r) = s * (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r), with
+/// r the ARD-scaled Euclidean distance. Twice differentiable — a good middle
+/// ground between RBF smoothness and Matern-3/2 roughness (paper §IV-B).
+double Matern52(const std::vector<double>& x, const std::vector<double>& y,
+                const KernelParams& params);
+
+/// Gram matrix K where K_ij = Matern52(points[i], points[j]).
+Matrix Matern52Gram(const std::vector<std::vector<double>>& points,
+                    const KernelParams& params);
+
+/// Exact GP regression with the Matern-5/2 kernel. `seed` drives the
+/// hyperparameter search.
 class GaussianProcess {
  public:
-  explicit GaussianProcess(GpOptions options = {},
-                           std::shared_ptr<const Kernel> kernel =
-                               std::make_shared<Matern52Kernel>());
+  explicit GaussianProcess(uint64_t seed = 7) : seed_(seed) {}
 
   /// Fits the model to (x, y). All x must share one dimension d >= 1 and
   /// n >= 1 observations are required. Non-finite targets are rejected.
@@ -63,8 +65,7 @@ class GaussianProcess {
   double EvalLml(const KernelParams& params) const;
   void Refit(const KernelParams& params);
 
-  GpOptions options_;
-  std::shared_ptr<const Kernel> kernel_;
+  uint64_t seed_;
 
   std::vector<std::vector<double>> train_x_;
   std::vector<double> train_y_std_;  // standardized targets
@@ -77,12 +78,12 @@ class GaussianProcess {
   bool fitted_ = false;
 };
 
-/// Independent multi-output GP: one GaussianProcess per objective, sharing
-/// options (paper §IV-B "multi-output GP by assuming each output to be
-/// independent").
+/// Independent multi-output GP: one GaussianProcess per objective (paper
+/// §IV-B "multi-output GP by assuming each output to be independent");
+/// output k's hyperparameter search is seeded with seed + 101 k.
 class MultiOutputGp {
  public:
-  MultiOutputGp(size_t num_outputs, GpOptions options = {});
+  explicit MultiOutputGp(size_t num_outputs, uint64_t seed = 7);
 
   /// Fits output `k` on (x, y_k) for each k; y[k] is the target vector of
   /// output k. All outputs share the same inputs.

@@ -21,43 +21,4 @@ std::vector<std::vector<double>> LatinHypercube(size_t n, size_t dim,
   return pts;
 }
 
-std::vector<std::vector<double>> UniformDesign(size_t n, size_t dim, Rng* rng) {
-  assert(rng != nullptr);
-  std::vector<std::vector<double>> pts(n, std::vector<double>(dim, 0.0));
-  for (auto& p : pts) {
-    for (auto& v : p) v = rng->Uniform();
-  }
-  return pts;
-}
-
-namespace {
-
-constexpr int kPrimes[] = {2,  3,  5,  7,  11, 13, 17, 19, 23, 29, 31,
-                           37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79};
-
-double HaltonValue(size_t index, int base) {
-  double f = 1.0, r = 0.0;
-  size_t i = index;
-  while (i > 0) {
-    f /= base;
-    r += f * static_cast<double>(i % base);
-    i /= base;
-  }
-  return r;
-}
-
-}  // namespace
-
-std::vector<std::vector<double>> HaltonSequence(size_t n, size_t dim,
-                                                size_t skip) {
-  assert(dim <= sizeof(kPrimes) / sizeof(kPrimes[0]));
-  std::vector<std::vector<double>> pts(n, std::vector<double>(dim, 0.0));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t d = 0; d < dim; ++d) {
-      pts[i][d] = HaltonValue(i + skip + 1, kPrimes[d]);
-    }
-  }
-  return pts;
-}
-
 }  // namespace vdt

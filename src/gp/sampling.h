@@ -1,5 +1,5 @@
-// Space-filling designs over [0,1]^d: Latin hypercube sampling (the Random
-// baseline and BO initialization, paper §V-A) and plain uniform sampling.
+// Space-filling design over [0,1]^d: Latin hypercube sampling (the Random
+// baseline and BO initialization, paper §V-A).
 #ifndef VDTUNER_GP_SAMPLING_H_
 #define VDTUNER_GP_SAMPLING_H_
 
@@ -13,14 +13,6 @@ namespace vdt {
 /// Latin hypercube design: n points in [0,1]^d such that each dimension's
 /// marginal hits every one of the n strata exactly once.
 std::vector<std::vector<double>> LatinHypercube(size_t n, size_t dim, Rng* rng);
-
-/// n i.i.d. uniform points in [0,1]^d.
-std::vector<std::vector<double>> UniformDesign(size_t n, size_t dim, Rng* rng);
-
-/// Halton low-discrepancy sequence (first n points, dimensions use the first
-/// d primes). Deterministic; used for acquisition candidate grids.
-std::vector<std::vector<double>> HaltonSequence(size_t n, size_t dim,
-                                                size_t skip = 20);
 
 }  // namespace vdt
 

@@ -34,8 +34,7 @@ std::vector<Neighbor> AutoIndex::SearchFiltered(const float* query, size_t k,
                                                 WorkCounters* counters,
                                                 const IndexParams* /*knobs*/)
     const {
-  // The delegate keeps its pre-tuned profile: overrides do not pass through,
-  // mirroring the no-op UpdateSearchParams contract.
+  // The delegate keeps its pre-tuned profile: overrides do not pass through.
   return delegate_->SearchFiltered(query, k, filter, counters, nullptr);
 }
 

@@ -18,8 +18,7 @@ class AutoIndex : public VectorIndex {
       : metric_(metric), seed_(seed), build_threads_(build_threads) {}
 
   Status Build(const FloatMatrix& data) override;
-  /// AUTOINDEX has no user-visible knobs: per-call overrides are ignored,
-  /// exactly as its UpdateSearchParams() is a no-op.
+  /// AUTOINDEX has no user-visible knobs: `knobs` is ignored.
   std::vector<Neighbor> SearchFiltered(const float* query, size_t k,
                                        const RowFilter* filter,
                                        WorkCounters* counters,

@@ -15,11 +15,10 @@
 namespace vdt {
 
 namespace {
-/// Nodes whose candidate searches run concurrently against one graph
-/// snapshot in the batched build. Fixed (never derived from the executor
-/// width) so the built graph is identical for any thread count; nodes within
-/// one batch do not see each other, which is the only difference from the
-/// sequential (batch = 1) insertion order.
+/// Nodes whose candidate searches run against one graph snapshot, side by
+/// side on the build executor or inline without one. Fixed (never derived
+/// from the executor width) so the built graph is identical for any thread
+/// count; nodes within one batch do not see each other.
 constexpr size_t kBuildBatch = 16;
 
 /// Outcome of the last selection pass over a list, per member: kept, not
@@ -287,11 +286,6 @@ Status HnswIndex::Build(const FloatMatrix& data) {
   const size_t n = data.rows();
 
   ParallelExecutor* executor = ResolveBuildExecutor(params_.build_threads);
-  // Batch width 1 reproduces the classic sequential insertion bit-for-bit
-  // (a node's own commits are invisible to its lower-layer searches, so
-  // search-then-commit per node equals the interleaved order). Any other
-  // width runs the fixed kBuildBatch snapshot batching.
-  const size_t batch = executor == nullptr ? 1 : kBuildBatch;
 
   // Exponentially distributed level draws, up front: levels are the build's
   // only random draws, so this is the same stream the per-node draw used.
@@ -318,8 +312,8 @@ Status HnswIndex::Build(const FloatMatrix& data) {
   BuildState state(node_level_, MaxDegree(0), MaxDegree(1));
 
   const size_t ef_c = static_cast<size_t>(params_.ef_construction);
-  for (size_t batch_begin = 1; batch_begin < n; batch_begin += batch) {
-    const size_t batch_end = std::min(n, batch_begin + batch);
+  for (size_t batch_begin = 1; batch_begin < n; batch_begin += kBuildBatch) {
+    const size_t batch_end = std::min(n, batch_begin + kBuildBatch);
     const size_t batch_n = batch_end - batch_begin;
 
     // Search phase: per-level candidate lists for every batch node against

@@ -2,12 +2,12 @@
 // 2018; paper Table I). Build parameters: M (graph degree), efConstruction
 // (build beam width). Search parameter: ef (query beam width).
 //
-// Construction is parallel when params.build_threads != 1: nodes insert in
-// fixed-size batches whose candidate searches run concurrently against a
-// graph snapshot, followed by a sequential commit in node order. The graph
-// is deterministic for any executor width; it differs from the sequential
-// (build_threads == 1) graph only in that same-batch nodes do not link to
-// each other, which preserves recall within test tolerance.
+// Construction inserts nodes in fixed batches of 16: their candidate
+// searches run against a graph snapshot, spread over the build executor (or
+// inline on the calling thread when build_threads is 1), and a sequential
+// commit then links them in node order. Nodes of one batch do not link to
+// each other. The graph is a function of (data, params, seed):
+// build_threads sets only the build's speed.
 //
 // The commit re-prunes a neighbor's list whenever a back-link overflows it,
 // and it does so incrementally: each list carries build-only state (per
@@ -36,15 +36,11 @@ class HnswIndex : public VectorIndex {
       : metric_(metric), params_(params), seed_(seed) {}
 
   Status Build(const FloatMatrix& data) override;
-  /// `knobs` (may be null) overrides ef for this call only — the same field
-  /// UpdateSearchParams() would set, with no index mutation.
+  /// Reads ef from `knobs` (null = the built params).
   std::vector<Neighbor> SearchFiltered(const float* query, size_t k,
                                        const RowFilter* filter,
                                        WorkCounters* counters,
                                        const IndexParams* knobs) const override;
-  void UpdateSearchParams(const IndexParams& params) override {
-    params_.ef = params.ef;
-  }
   size_t MemoryBytes() const override;
   IndexType type() const override { return IndexType::kHnsw; }
   size_t Size() const override { return data_ ? data_->rows() : 0; }

@@ -73,11 +73,6 @@ std::string BuildSignature(IndexType type, const IndexParams& params) {
       break;
     case IndexType::kHnsw:
       os << "/M=" << params.hnsw_m << "/efC=" << params.ef_construction;
-      // The sequential (build_threads == 1) and batched builds produce
-      // different — both valid — graphs, so the *mode* is build-affecting
-      // for HNSW. The batched graph is width-independent, so the width
-      // itself still is not part of the signature.
-      if (params.build_threads == 1) os << "/seq";
       break;
   }
   return os.str();

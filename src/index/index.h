@@ -53,13 +53,10 @@ struct IndexParams {
   int reorder_k = 200;  // exact re-ranking candidate count
 
   /// Worker threads for Build(): 0 = the process-wide ParallelExecutor
-  /// (sized by VDT_THREADS, like searches), 1 = sequential, n > 1 = a
-  /// shared pool of that width. Not a tuned parameter. The kmeans-family
-  /// builds are bit-identical for every width, so BuildSignature() ignores
-  /// this knob for them; HNSW builds a different (equally valid) graph in
-  /// sequential (1) vs batched (everything else) mode — see
-  /// HnswIndex::Build — so for HNSW the signature records the mode (never
-  /// the width).
+  /// (sized by VDT_THREADS, like searches), 1 = inline on the calling
+  /// thread, n > 1 = a shared pool of that width. Not a tuned parameter: it
+  /// sets only the build's speed. An index is a function of (data, params,
+  /// seed) alone, so BuildSignature() ignores this knob.
   int build_threads = 0;
 
   std::string ToString() const;
@@ -161,32 +158,21 @@ class VectorIndex {
   /// is NOT safe to call Build() concurrently on one index, or to Search()
   /// an index whose Build() has not returned.
   ///
-  /// Determinism contract: given the same (data, params, seed), the built
-  /// structures are bit-identical for every build_threads value on the
-  /// kmeans-family indexes (IVF_FLAT/SQ8/PQ, SCANN) and on FLAT — every
-  /// parallel pass runs over a fixed chunk grid with per-chunk partials
-  /// merged in chunk order. HNSW is deterministic for any executor width,
-  /// but its batched graph (build_threads != 1) differs from the sequential
-  /// one (build_threads == 1) by design; the two are recall-equivalent
-  /// within test tolerance. HNSW re-prunes overflowing neighbor lists
-  /// incrementally from build-only per-link state (8 bytes per link slot,
-  /// 16*M bytes per node at layer 0, freed when Build returns); its graph
-  /// is byte-identical to a from-scratch re-prune.
+  /// Determinism contract: an index is a function of (data, params, seed).
+  /// Its structures, answers, work counters and MemoryBytes() are
+  /// bit-identical for every build_threads value, because every parallel
+  /// pass runs over a fixed grid whatever the width (k-means chunks merged
+  /// in chunk order, HNSW's fixed insertion batches committed in node
+  /// order); a null executor runs the same grid inline.
   virtual Status Build(const FloatMatrix& data) = 0;
 
   /// Exact/approximate top-k for `query`; results sorted by distance
   /// ascending. Appends the work performed to `counters` (may be null).
-  /// Convenience form of SearchFiltered with every row live.
+  /// Convenience form of SearchFiltered with every row live, under the
+  /// knobs the index was built with.
   std::vector<Neighbor> Search(const float* query, size_t k,
                                WorkCounters* counters) const {
     return SearchFiltered(query, k, nullptr, counters, nullptr);
-  }
-
-  /// SearchFiltered with the index's own search-time knobs.
-  std::vector<Neighbor> SearchFiltered(const float* query, size_t k,
-                                       const RowFilter* filter,
-                                       WorkCounters* counters) const {
-    return SearchFiltered(query, k, filter, counters, nullptr);
   }
 
   /// The primary search entry point: Search() restricted to the rows
@@ -197,12 +183,11 @@ class VectorIndex {
   /// filtered-out scans are skipped, while traversal work through dead rows
   /// (graph hops) is still counted.
   ///
-  /// `knobs` (may be null) overrides the search-time parameters for this
-  /// call only, without mutating the index — the thread-safe alternative to
-  /// UpdateSearchParams() that the snapshot read path relies on. Each
-  /// backend reads exactly the fields its UpdateSearchParams() would apply:
-  /// the IVF family reads nprobe, HNSW reads ef, SCANN reads nprobe and
-  /// reorder_k, and FLAT/AUTOINDEX ignore overrides entirely.
+  /// `knobs` (may be null = the knobs the index was built with) sets the
+  /// search-time parameters of this call only; an index is never mutated
+  /// after Build(). Each type reads only its own fields: IVF_FLAT, IVF_SQ8
+  /// and IVF_PQ read nprobe, SCANN reads nprobe and reorder_k, HNSW reads
+  /// ef, and FLAT and AUTOINDEX read none.
   ///
   /// Thread-safety contract: once Build() has returned, searching is const
   /// and side-effect-free on every backend, so any number of threads may
@@ -213,13 +198,6 @@ class VectorIndex {
                                                WorkCounters* counters,
                                                const IndexParams* knobs)
       const = 0;
-
-  /// Updates search-time knobs (nprobe, ef, reorder_k) without rebuilding.
-  /// Build-time parameters are fixed once Build() has run; see
-  /// BuildSignature() for which is which. Mutates the index — must not run
-  /// concurrently with searches; concurrent callers should pass a per-call
-  /// `knobs` override to SearchFiltered instead.
-  virtual void UpdateSearchParams(const IndexParams& params) { (void)params; }
 
   /// Bytes used by the index structures (excluding the raw vectors unless
   /// the index stores its own copy).

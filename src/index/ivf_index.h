@@ -25,11 +25,6 @@ class IvfBaseIndex : public VectorIndex {
   Status Build(const FloatMatrix& data) override;
   size_t Size() const override { return data_ ? data_->rows() : 0; }
 
-  /// Updates search-time knobs (nprobe) without rebuilding.
-  void UpdateSearchParams(const IndexParams& params) override {
-    params_.nprobe = params.nprobe;
-  }
-
   /// Shared IVF layout (params, seed, centroids, posting lists) followed by
   /// the subclass payload (SerializeExtra / RestoreExtra).
   Status SerializeState(ByteWriter* writer) const override;
@@ -58,8 +53,8 @@ class IvfBaseIndex : public VectorIndex {
   virtual Status EncodeLists(const FloatMatrix& data,
                              ParallelExecutor* executor) = 0;
 
-  /// The effective nprobe for one search call: the per-call override when
-  /// present, params_.nprobe otherwise (mirrors UpdateSearchParams).
+  /// The effective nprobe for one search call: `knobs` when present,
+  /// params_.nprobe otherwise.
   int EffectiveNprobe(const IndexParams* knobs) const {
     return knobs != nullptr ? knobs->nprobe : params_.nprobe;
   }
@@ -145,15 +140,11 @@ class ScannIndex : public IvfSq8Index {
  public:
   using IvfSq8Index::IvfSq8Index;
 
-  /// `knobs` (may be null) overrides nprobe/reorder_k for this call only.
+  /// Reads nprobe and reorder_k from `knobs` (null = the built params).
   std::vector<Neighbor> SearchFiltered(const float* query, size_t k,
                                        const RowFilter* filter,
                                        WorkCounters* counters,
                                        const IndexParams* knobs) const override;
-  void UpdateSearchParams(const IndexParams& params) override {
-    params_.nprobe = params.nprobe;
-    params_.reorder_k = params.reorder_k;
-  }
   IndexType type() const override { return IndexType::kScann; }
   std::unique_ptr<VectorIndex> FilteredCopy(
       const std::vector<int64_t>& old_to_new,

@@ -1,5 +1,5 @@
 // Bounded top-k collection via a max-heap keyed on distance, and the
-// deterministic k-way merge behind every scatter/gather reduce.
+// deterministic merge behind every scatter/gather reduce.
 #ifndef VDTUNER_INDEX_TOPK_H_
 #define VDTUNER_INDEX_TOPK_H_
 
@@ -54,36 +54,24 @@ class TopKCollector {
   std::vector<Neighbor> heap_;
 };
 
-/// K-way merge of per-source top-k candidate lists into one global top-k,
-/// ordered by (distance, id) — the gather half of every scatter/gather
-/// search (per-shard result lists, SCANN's exact reorder). The (distance,
-/// id) total order makes the output independent of list order, list count,
-/// and thread scheduling: splitting one candidate set across any number of
-/// source lists produces the same merged top-k.
-/// Input lists need not be sorted. A row id surfacing in more than one list
-/// is kept once, at its best (smallest) distance; empty lists are free.
+/// Merge of per-source top-k candidate lists into one global top-k, ordered
+/// by (distance, id) — the gather half of every scatter/gather search
+/// (per-shard result lists, SCANN's exact re-rank). The (distance, id) total
+/// order makes the output independent of list order, list count, and thread
+/// scheduling: splitting one candidate set across any number of source lists
+/// produces the same merged top-k. Input lists need not be sorted, and no id
+/// may appear twice across them (shards are disjoint, and one TopKCollector
+/// never holds a row twice); empty lists are free.
 inline std::vector<Neighbor> MergeTopK(std::vector<std::vector<Neighbor>> lists,
                                        size_t k) {
-  std::vector<Neighbor> all;
+  if (lists.empty()) return {};
   size_t total = 0;
   for (const auto& list : lists) total += list.size();
+  std::vector<Neighbor> all = std::move(lists.front());
   all.reserve(total);
-  for (auto& list : lists) {
-    all.insert(all.end(), list.begin(), list.end());
-    list.clear();
+  for (size_t i = 1; i < lists.size(); ++i) {
+    all.insert(all.end(), lists[i].begin(), lists[i].end());
   }
-  // Dedup pass: group by id (best distance first within a group), keep the
-  // group head. Ids are unique in the common case (disjoint shards), so
-  // this is one sort + one linear sweep over S*k candidates.
-  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
-    return a.id < b.id || (a.id == b.id && a.distance < b.distance);
-  });
-  all.erase(std::unique(all.begin(), all.end(),
-                        [](const Neighbor& a, const Neighbor& b) {
-                          return a.id == b.id;
-                        }),
-            all.end());
-  // Final order: distance ascending, id-ordered tie-breaking (operator<).
   if (all.size() > k) {
     std::partial_sort(all.begin(), all.begin() + static_cast<ptrdiff_t>(k),
                       all.end());

@@ -61,9 +61,11 @@ bool DecodePayload(uint8_t type, const uint8_t* payload, size_t len,
       return r.remaining() == 0;
     }
     case WalRecord::kSystemOverride:
-      return r.F64(&out->graceful_time_ms) &&
-             r.I32(&out->max_read_concurrency) && r.F64(&out->cache_ratio) &&
-             r.F64(&out->compaction_deleted_ratio) && r.remaining() == 0;
+      return r.F64(&out->system.graceful_time_ms) &&
+             r.I32(&out->system.max_read_concurrency) &&
+             r.F64(&out->system.cache_ratio) &&
+             r.F64(&out->system.compaction_deleted_ratio) &&
+             r.remaining() == 0;
     case WalRecord::kSearchParams:
       return ReadIndexParams(&r, &out->params) && r.remaining() == 0;
     case WalRecord::kCompact:

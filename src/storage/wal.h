@@ -59,13 +59,10 @@ struct WalRecord {
     kCompact = 5,
   };
   uint8_t type = 0;
-  FloatMatrix rows;                    // kInsert
-  std::vector<int64_t> ids;            // kDelete
-  double graceful_time_ms = 0;         // kSystemOverride
-  int32_t max_read_concurrency = 0;    // kSystemOverride
-  double cache_ratio = 0;              // kSystemOverride
-  double compaction_deleted_ratio = 0; // kSystemOverride
-  IndexParams params;                  // kSearchParams
+  FloatMatrix rows;          // kInsert
+  std::vector<int64_t> ids;  // kDelete
+  SystemConfig system;       // kSystemOverride: its four runtime knobs
+  IndexParams params;        // kSearchParams
 };
 
 /// Everything a WAL file yields on open: the valid record prefix and where

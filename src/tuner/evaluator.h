@@ -53,10 +53,9 @@ struct VdmsEvaluatorOptions {
   /// drives it through this mixed insert/delete/search timeline instead of
   /// replaying the static `workload`. Because the timeline mutates the
   /// collection (deletes, compactions), churn evaluations bypass the build
-  /// cache entirely. Outcomes stay deterministic at any replay.executor /
-  /// IndexParams::build_threads width for the kmeans-family and FLAT index
-  /// types (HNSW keeps its documented sequential-vs-batched mode
-  /// distinction).
+  /// cache entirely. Outcomes are the same at any replay.executor /
+  /// IndexParams::build_threads width, for every index type: an index is a
+  /// function of (data, params, seed).
   ///
   /// Pair churn tuning with ParamSpace(/*dynamic_workload=*/true):
   /// otherwise the compaction_deleted_ratio knob — the one dimension that

@@ -44,9 +44,7 @@ TuningConfig OtterTuneLike::Propose() {
     best_score = std::max(best_score, s);
   }
 
-  GpOptions gopt;
-  gopt.seed = options_.seed + history_.size();
-  GaussianProcess gp(gopt);
+  GaussianProcess gp(options_.seed + history_.size());
   if (!gp.Fit(xs, ys).ok()) {
     return space_->Decode(space_->SamplePoint(&rng_));
   }

@@ -43,9 +43,7 @@ TuningConfig QehviTuner::Propose() {
     pts.push_back({sp, rc});
   }
 
-  GpOptions gopt;
-  gopt.seed = options_.seed + history_.size();
-  MultiOutputGp gp(2, gopt);
+  MultiOutputGp gp(2, options_.seed + history_.size());
   if (!gp.Fit(xs, ys).ok()) {
     return space_->Decode(space_->SamplePoint(&rng_));
   }

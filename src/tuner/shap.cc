@@ -41,9 +41,7 @@ std::vector<ShapAttribution> ShapleyAttribution(
 
 MetricFn SurrogateMetric(const std::vector<std::vector<double>>& xs,
                          const std::vector<double>& ys, uint64_t seed) {
-  GpOptions gopt;
-  gopt.seed = seed;
-  auto gp = std::make_shared<GaussianProcess>(gopt);
+  auto gp = std::make_shared<GaussianProcess>(seed);
   if (!gp->Fit(xs, ys).ok()) {
     return [](const std::vector<double>&) { return 0.0; };
   }

@@ -183,8 +183,6 @@ TuningConfig VdTuner::Propose() {
     norm_points.push_back({n0, n1});
   }
 
-  GpOptions gopt;
-  gopt.seed = options_.seed + history_.size() * 13;
   // In constraint mode the recall output stays in raw units so the floor is
   // a meaningful threshold.
   const bool constrained = options_.recall_floor.has_value();
@@ -193,7 +191,7 @@ TuningConfig VdTuner::Propose() {
       ys[1][i] = train[i]->feedback_recall;
     }
   }
-  MultiOutputGp gp(2, gopt);
+  MultiOutputGp gp(2, options_.seed + history_.size() * 13);
   const bool gp_ok = gp.Fit(xs, ys).ok();
 
   // ---- Poll the next index type (l.19).

@@ -88,13 +88,13 @@ struct SearchRequest {
   /// Optional per-request override of the search-time index knobs, applied
   /// to this request only — no collection state changes, so concurrent
   /// requests with different overrides never interfere. Each index type
-  /// honors exactly the fields its UpdateSearchParams() would: IVF family
-  /// reads nprobe, HNSW reads ef, SCANN reads nprobe + reorder_k, FLAT and
-  /// AUTOINDEX ignore overrides. Unset = the collection's current knobs.
-  /// On a sharded collection the override is resolved once per request and
-  /// the same effective knobs are applied to every shard of the scatter
-  /// (debug builds assert this), so results never depend on which shard a
-  /// row hashed to. Unset = the collection's current knobs on every shard.
+  /// reads only its own fields: IVF_FLAT, IVF_SQ8 and IVF_PQ read nprobe,
+  /// SCANN reads nprobe and reorder_k, HNSW reads ef, and FLAT and
+  /// AUTOINDEX read none. On a sharded collection the override is resolved
+  /// once per request and the same effective knobs are applied to every
+  /// shard of the scatter (debug builds assert this), so results never
+  /// depend on which shard a row hashed to. Unset = the collection's
+  /// current knobs on every shard.
   std::optional<IndexParams> params;
 
   /// One-query convenience: wraps `query` (dim floats, copied) with `k`.

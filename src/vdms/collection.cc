@@ -421,9 +421,17 @@ Status Collection::UpdateSearchParams(const IndexParams& params) {
     // Logged so post-restart searches run under the same knobs.
     VDT_RETURN_IF_ERROR(store_->LogSearchParams(params));
   }
-  options_.index.params = params;
+  ApplySearchParamsLocked(params);
   Publish();
   return Status::OK();
+}
+
+void Collection::ApplySearchParamsLocked(const IndexParams& params) {
+  options_.index.params.nprobe = params.nprobe;
+  options_.index.params.ef = params.ef;
+  options_.index.params.reorder_k = params.reorder_k;
+  // Deliberately not copied: the build fields, which every later seal and
+  // compaction keeps building with.
 }
 
 void Collection::ApplyRuntimeSystemLocked(const SystemConfig& system) {
@@ -530,17 +538,11 @@ Result<std::shared_ptr<Collection>> Collection::Restore(
       case WalRecord::kDelete:
         st = c.DeleteLocked(rec.ids, nullptr);
         break;
-      case WalRecord::kSystemOverride: {
-        SystemConfig sys = c.options_.system;
-        sys.graceful_time_ms = rec.graceful_time_ms;
-        sys.max_read_concurrency = rec.max_read_concurrency;
-        sys.cache_ratio = rec.cache_ratio;
-        sys.compaction_deleted_ratio = rec.compaction_deleted_ratio;
-        c.ApplyRuntimeSystemLocked(sys);
+      case WalRecord::kSystemOverride:
+        c.ApplyRuntimeSystemLocked(rec.system);
         break;
-      }
       case WalRecord::kSearchParams:
-        c.options_.index.params = rec.params;
+        c.ApplySearchParamsLocked(rec.params);
         break;
       case WalRecord::kCompact:
         st = c.CompactLocked(nullptr);

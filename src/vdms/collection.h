@@ -179,12 +179,13 @@ class Collection {
   Result<SearchResponse> Search(const SearchRequest& request,
                                 ParallelExecutor* executor = nullptr) const;
 
-  /// Re-applies search-time index knobs (nprobe/ef/reorder_k) without
-  /// rebuilding — used by the evaluator's build cache. Publishes a new
-  /// snapshot; in-flight searches finish under the old knobs. For a
-  /// one-call override use SearchRequest::params instead. Write-ahead on a
-  /// durable collection: when the WAL refuses the record, nothing is
-  /// applied and the error is returned.
+  /// Applies the search-time knobs of `params` (nprobe, ef, reorder_k)
+  /// without rebuilding — used by the evaluator's build cache. Its build
+  /// fields are ignored: later seals keep the collection's build params.
+  /// Publishes a new snapshot; in-flight searches finish under the old
+  /// knobs. For a one-call override use SearchRequest::params instead.
+  /// Write-ahead on a durable collection: when the WAL refuses the record,
+  /// nothing is applied and the error is returned.
   Status UpdateSearchParams(const IndexParams& params);
 
   /// Overrides the system knobs that do not affect the segment layout
@@ -246,6 +247,9 @@ class Collection {
   Status InsertLocked(const FloatMatrix& rows);
   Status DeleteLocked(const std::vector<int64_t>& ids, size_t* deleted);
   Status CompactLocked(size_t* compacted);
+  /// The search-knob subset UpdateSearchParams copies (shared with WAL
+  /// replay).
+  void ApplySearchParamsLocked(const IndexParams& params);
   /// The runtime-knob subset OverrideRuntimeSystem copies (shared with WAL
   /// replay).
   void ApplyRuntimeSystemLocked(const SystemConfig& system);

@@ -14,8 +14,9 @@
 // Scatter/gather: a query fans out across the shards (each shard answers
 // its own top-k over its segment chain) and the per-shard lists reduce
 // through MergeTopK's (distance, id) total order, so the merged result is
-// independent of shard count, shard order, and thread scheduling. With one
-// shard the scatter degenerates to the single-chain search.
+// independent of shard count, shard order, and thread scheduling. Shards
+// hold disjoint rows, so no id repeats across the lists. With one shard the
+// scatter degenerates to the single-chain search.
 #ifndef VDTUNER_VDMS_SNAPSHOT_H_
 #define VDTUNER_VDMS_SNAPSHOT_H_
 

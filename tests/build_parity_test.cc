@@ -1,18 +1,16 @@
-// Sequential-vs-parallel Build() parity: the kmeans-family indexes
-// (IVF_FLAT/SQ8/PQ, SCANN) and FLAT must produce bit-identical structures
-// for every build_threads value; HNSW must be deterministic per mode and
-// recall-equivalent across modes, with its graph bytes pinned per kernel
-// backend; the kmeans family's state bytes and answers are pinned per
-// backend too. Also covers the chunked kmeans/scatter primitives, the
-// n < threads and odd-dim edge cases, the collection-level plumbing, and
-// the named build error messages.
+// Build() parity across widths: every index type must answer bit-identically
+// for every build_threads value, inline (1) or on an executor, and no build
+// signature may record the width. HNSW's graph bytes and the kmeans
+// family's state bytes and answers are pinned per kernel backend. Also
+// covers the chunked kmeans/scatter primitives, the n < threads and odd-dim
+// edge cases, the collection-level plumbing, and the named build error
+// messages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -64,9 +62,18 @@ std::unique_ptr<VectorIndex> BuildWith(IndexType type, const FloatMatrix& data,
   return index;
 }
 
-// Expects bit-identical search behavior (ids, distances, counters) from two
-// indexes over the same queries — the observable form of "identical
-// centroids/assignments/codes".
+// Every WorkCounters field, in declaration order.
+std::vector<uint64_t> CounterFields(const WorkCounters& w) {
+  return {w.full_distance_evals, w.coarse_distance_evals,
+          w.code_distance_evals, w.pq_lookup_ops,
+          w.table_build_flops,   w.graph_hops,
+          w.reorder_evals,       w.shard_scatters,
+          w.gather_candidates};
+}
+
+// Expects bit-identical search behavior (ids, distances, every counter)
+// from two indexes over the same queries — the observable form of
+// "identical centroids/assignments/codes/links".
 void ExpectIdenticalSearches(const VectorIndex& a, const VectorIndex& b,
                              const FloatMatrix& queries, size_t k) {
   WorkCounters wa, wb;
@@ -80,24 +87,7 @@ void ExpectIdenticalSearches(const VectorIndex& a, const VectorIndex& b,
           << "query " << q << " rank " << i;
     }
   }
-  EXPECT_EQ(wa.Total(), wb.Total());
-}
-
-double RecallAgainstBruteForce(const VectorIndex& index,
-                               const FloatMatrix& data,
-                               const FloatMatrix& queries, size_t k) {
-  double sum = 0.0;
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    auto truth =
-        BruteForceSearch(data, Metric::kAngular, queries.Row(q), k, nullptr);
-    std::set<int64_t> expected;
-    for (const auto& t : truth) expected.insert(t.id);
-    auto hits = index.Search(queries.Row(q), k, nullptr);
-    size_t found = 0;
-    for (const auto& h : hits) found += expected.count(h.id);
-    sum += static_cast<double>(found) / static_cast<double>(k);
-  }
-  return sum / static_cast<double>(queries.rows());
+  EXPECT_EQ(CounterFields(wa), CounterFields(wb));
 }
 
 // ------------------------------------------------------- kmeans primitives
@@ -183,14 +173,29 @@ TEST_P(BuildParityTest, FewerRowsThanThreads) {
   auto seq = BuildWith(type, data, 1, /*nlist=*/8, /*m=*/2);
   auto par = BuildWith(type, data, 8, /*nlist=*/8, /*m=*/2);
   ExpectIdenticalSearches(*seq, *par, queries, 3);
+  EXPECT_EQ(seq->MemoryBytes(), par->MemoryBytes());
 }
 
-INSTANTIATE_TEST_SUITE_P(KMeansFamily, BuildParityTest,
+// The width is never build-affecting, so no signature records it: one
+// cached index serves a configuration at every build_threads value.
+TEST_P(BuildParityTest, SignatureRecordsNoWidthAndNoMode) {
+  const IndexType type = GetParam();
+  const std::string global = BuildSignature(type, IndexParams{});
+  for (int threads : {1, 2, 8}) {
+    IndexParams params;
+    params.build_threads = threads;
+    EXPECT_EQ(BuildSignature(type, params), global) << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryIndexType, BuildParityTest,
                          ::testing::Values(IndexType::kFlat,
                                            IndexType::kIvfFlat,
                                            IndexType::kIvfSq8,
                                            IndexType::kIvfPq,
-                                           IndexType::kScann),
+                                           IndexType::kScann,
+                                           IndexType::kHnsw,
+                                           IndexType::kAutoIndex),
                          [](const ::testing::TestParamInfo<IndexType>& info) {
                            return IndexTypeName(info.param);
                          });
@@ -200,47 +205,11 @@ INSTANTIATE_TEST_SUITE_P(KMeansFamily, BuildParityTest,
 TEST(HnswBuildParityTest, ParallelGraphDeterministicAcrossWidths) {
   FloatMatrix data = ClusteredMatrix(1100, 24, 12, 0.3, 41);
   FloatMatrix queries = ClusteredMatrix(20, 24, 12, 0.33, 42);
-  // Batched mode output must not depend on the executor width (2 vs 8), nor
-  // on whether the width came from build_threads or the default executor.
+  // The graph must not depend on the executor width (2 vs 8).
   auto a = BuildWith(IndexType::kHnsw, data, 2);
   auto b = BuildWith(IndexType::kHnsw, data, 8);
   ExpectIdenticalSearches(*a, *b, queries, 10);
   EXPECT_EQ(a->MemoryBytes(), b->MemoryBytes());
-}
-
-TEST(HnswBuildParityTest, SequentialAndBatchedGraphsRecallEquivalent) {
-  const size_t k = 10;
-  FloatMatrix data = ClusteredMatrix(1500, 24, 16, 0.28, 43);
-  FloatMatrix queries = ClusteredMatrix(24, 24, 16, 0.3, 44);
-  auto seq = BuildWith(IndexType::kHnsw, data, 1);
-  auto par = BuildWith(IndexType::kHnsw, data, 4);
-  const double r_seq = RecallAgainstBruteForce(*seq, data, queries, k);
-  const double r_par = RecallAgainstBruteForce(*par, data, queries, k);
-  EXPECT_GT(r_seq, 0.85);
-  EXPECT_GT(r_par, 0.85);
-  EXPECT_NEAR(r_seq, r_par, 0.08);
-}
-
-TEST(HnswBuildParityTest, SignatureRecordsModeButNeverWidth) {
-  IndexParams seq, par2, par8, global;
-  seq.build_threads = 1;
-  par2.build_threads = 2;
-  par8.build_threads = 8;
-  global.build_threads = 0;
-  // HNSW: the sequential graph differs from the batched one, so the cache
-  // signature separates the modes; batched widths all share one signature.
-  EXPECT_NE(BuildSignature(IndexType::kHnsw, seq),
-            BuildSignature(IndexType::kHnsw, par2));
-  EXPECT_EQ(BuildSignature(IndexType::kHnsw, par2),
-            BuildSignature(IndexType::kHnsw, par8));
-  EXPECT_EQ(BuildSignature(IndexType::kHnsw, par2),
-            BuildSignature(IndexType::kHnsw, global));
-  // kmeans family: bit-identical at every width, one signature for all.
-  for (IndexType type : {IndexType::kIvfFlat, IndexType::kIvfSq8,
-                         IndexType::kIvfPq, IndexType::kScann}) {
-    EXPECT_EQ(BuildSignature(type, seq), BuildSignature(type, par8))
-        << IndexTypeName(type);
-  }
 }
 
 // -------------------------------------------------- HNSW graph bytes pinned
@@ -282,8 +251,8 @@ uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
   return h;
 }
 
-/// One pinned HNSW build: its inputs and the FNV-1a digest of its
-/// SerializeState bytes under each x86-64 backend.
+/// One pinned HNSW build (at the default build_threads 0): its inputs and
+/// the FNV-1a digest of its SerializeState bytes under each x86-64 backend.
 struct GraphPin {
   const char* name;
   Metric metric;
@@ -293,7 +262,6 @@ struct GraphPin {
   size_t period;  // rows repeat every `period` rows; 0 = all distinct
   int hnsw_m;
   int ef_construction;
-  int build_threads;  // 1 = sequential mode, 0 = batched mode
   uint64_t scalar;
   uint64_t avx2;
   uint64_t avx512;
@@ -313,36 +281,31 @@ const uint64_t* PinnedDigest(const GraphPin& pin, const std::string& backend) {
 // re-prune as exact. Backends without a recorded digest are skipped.
 TEST(HnswBuildParityTest, GraphBytesPinnedPerBackend) {
   const GraphPin pins[] = {
-      {"autoindex_profile_seq", Metric::kAngular, true, 1000, 32, 0, 16, 128,
-       1, 0xa1ee11c9c58d9d9full, 0xa1ee11c9c58d9d9full, 0xa1ee11c9c58d9d9full},
-      {"autoindex_profile_batched", Metric::kAngular, true,
-       1000, 32, 0, 16, 128,
-       0, 0x7fa723dfb6ea7b89ull, 0x7fa723dfb6ea7b89ull, 0x7fa723dfb6ea7b89ull},
+      {"autoindex_profile", Metric::kAngular, true, 1000, 32, 0, 16, 128,
+       0x7fa723dfb6ea7b89ull, 0x7fa723dfb6ea7b89ull, 0x7fa723dfb6ea7b89ull},
       {"m48_efc256", Metric::kAngular, true, 700, 40, 0, 48, 256,
-       0, 0x76bd0cc3336eca57ull, 0x9c28beda85d0c0e7ull, 0x9c28beda85d0c0e7ull},
+       0x76bd0cc3336eca57ull, 0x9c28beda85d0c0e7ull, 0x9c28beda85d0c0e7ull},
       {"m2_deep_layers", Metric::kAngular, true, 500, 12, 0, 2, 16,
-       1, 0x6c631e9b1d254f25ull, 0x6c631e9b1d254f25ull, 0x6c631e9b1d254f25ull},
+       0x37019aea982ba44bull, 0x37019aea982ba44bull, 0x37019aea982ba44bull},
       {"one_row", Metric::kAngular, true, 1, 8, 0, 4, 16,
-       1, 0xd960db198d011178ull, 0xd960db198d011178ull, 0xd960db198d011178ull},
+       0x18b51f05e404f5e9ull, 0x18b51f05e404f5e9ull, 0x18b51f05e404f5e9ull},
       {"two_rows", Metric::kAngular, true, 2, 8, 0, 4, 16,
-       0, 0x4195c7a73999b25bull, 0x4195c7a73999b25bull, 0x4195c7a73999b25bull},
+       0x4195c7a73999b25bull, 0x4195c7a73999b25bull, 0x4195c7a73999b25bull},
       {"rows17", Metric::kAngular, true, 17, 8, 0, 4, 16,
-       1, 0x95ef7ae0ba9e4640ull, 0x95ef7ae0ba9e4640ull, 0x95ef7ae0ba9e4640ull},
+       0xce8efd49466a2897ull, 0xce8efd49466a2897ull, 0xce8efd49466a2897ull},
       {"rows33", Metric::kAngular, true, 33, 8, 0, 4, 16,
-       0, 0xb8a3c7e4bf6e4048ull, 0xb8a3c7e4bf6e4048ull, 0xb8a3c7e4bf6e4048ull},
+       0xb8a3c7e4bf6e4048ull, 0xb8a3c7e4bf6e4048ull, 0xb8a3c7e4bf6e4048ull},
       {"duplicates_every7", Metric::kAngular, true, 300, 16, 7, 8, 32,
-       1, 0xc3803ee5b96fbe87ull, 0xc3803ee5b96fbe87ull, 0xc3803ee5b96fbe87ull},
+       0x3c2a2254174ed12bull, 0x3c2a2254174ed12bull, 0x3c2a2254174ed12bull},
       {"duplicates_every30", Metric::kAngular, true, 400, 16, 30, 8, 32,
-       0, 0xcbf93a953d518da1ull, 0xcbf93a953d518da1ull, 0xcbf93a953d518da1ull},
-      {"l2_unnormalized_seq", Metric::kL2, false, 600, 37, 0, 12, 64,
-       1, 0xdd3ef7e55fb5f9eeull, 0xdd3ef7e55fb5f9eeull, 0xdd3ef7e55fb5f9eeull},
-      {"l2_unnormalized_batched", Metric::kL2, false, 600, 37, 0, 12, 64,
-       0, 0xe7161e3626dc8a18ull, 0xe7161e3626dc8a18ull, 0xe7161e3626dc8a18ull},
-      {"ip_unnormalized_seq", Metric::kInnerProduct, false, 600, 37, 0, 12, 64,
-       1, 0xab57dec14bb774c8ull, 0xab57dec14bb774c8ull, 0xab57dec14bb774c8ull},
-      {"ip_unnormalized_batched", Metric::kInnerProduct, false,
+       0xcbf93a953d518da1ull, 0xcbf93a953d518da1ull, 0xcbf93a953d518da1ull},
+      {"l2_unnormalized", Metric::kL2, false, 600, 37, 0, 12, 64,
+       0xe7161e3626dc8a18ull, 0xe7161e3626dc8a18ull, 0xe7161e3626dc8a18ull},
+      {"ip_unnormalized", Metric::kInnerProduct, false, 600, 37, 0, 12, 64,
+       0x488d135afe32ff7cull, 0x488d135afe32ff7cull, 0x488d135afe32ff7cull},
+      {"ip_unnormalized_repeat50", Metric::kInnerProduct, false,
        600, 37, 50, 12, 64,
-       0, 0x160b46a164d0c2d5ull, 0x160b46a164d0c2d5ull, 0x160b46a164d0c2d5ull},
+       0x160b46a164d0c2d5ull, 0x160b46a164d0c2d5ull, 0x160b46a164d0c2d5ull},
   };
   BackendGuard guard;
   for (const kernels::Backend* backend : kernels::AvailableBackends()) {
@@ -356,7 +319,6 @@ TEST(HnswBuildParityTest, GraphBytesPinnedPerBackend) {
       IndexParams params;
       params.hnsw_m = pin.hnsw_m;
       params.ef_construction = pin.ef_construction;
-      params.build_threads = pin.build_threads;
       auto index = CreateIndex(IndexType::kHnsw, pin.metric, params, 17);
       ASSERT_TRUE(index->Build(data).ok()) << pin.name;
       std::vector<uint8_t> bytes;
@@ -595,9 +557,8 @@ TEST(EvaluatorBuildParityTest, BuildThreadsOverrideKeepsOutcome) {
 
 // A churn (insert/delete/search/compaction) evaluation must produce the
 // identical tuning trajectory — same configs, same QPS/recall/memory — at
-// any replay executor / IndexParams::build_threads width. Covers the kmeans
-// family and FLAT; HNSW keeps its documented sequential-vs-batched
-// build-mode distinction.
+// any replay executor / IndexParams::build_threads width, for every index
+// type.
 TEST(EvaluatorChurnParityTest, TrajectoryIdenticalAcrossWidths) {
   FloatMatrix data = ClusteredMatrix(1500, 16, 8, 0.3, 71);
   ChurnSpec spec;
@@ -615,7 +576,7 @@ TEST(EvaluatorChurnParityTest, TrajectoryIdenticalAcrossWidths) {
   std::vector<TuningConfig> trajectory;
   for (const IndexType type :
        {IndexType::kIvfFlat, IndexType::kIvfSq8, IndexType::kFlat,
-        IndexType::kScann}) {
+        IndexType::kScann, IndexType::kHnsw, IndexType::kAutoIndex}) {
     TuningConfig config;
     config.index_type = type;
     config.index.nlist = 16;

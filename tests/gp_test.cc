@@ -1,59 +1,48 @@
-// Tests for src/gp: kernels, GP regression, sampling designs.
+// Tests for src/gp: the Matern-5/2 kernel, GP regression, Latin hypercube
+// sampling.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/random.h"
 #include "gp/gp.h"
-#include "gp/kernel.h"
 #include "gp/sampling.h"
 
 namespace vdt {
 namespace {
 
 TEST(KernelTest, Matern52AtZeroDistanceIsSignalVariance) {
-  Matern52Kernel k;
   KernelParams p = KernelParams::Uniform(3, 0.5, 2.0);
   const std::vector<double> x = {0.1, 0.2, 0.3};
-  EXPECT_NEAR(k.Eval(x, x, p), 2.0, 1e-12);
+  EXPECT_NEAR(Matern52(x, x, p), 2.0, 1e-12);
 }
 
 TEST(KernelTest, Matern52DecaysWithDistance) {
-  Matern52Kernel k;
   KernelParams p = KernelParams::Uniform(1, 0.5, 1.0);
-  double prev = k.Eval({0.0}, {0.0}, p);
+  double prev = Matern52({0.0}, {0.0}, p);
   for (double d = 0.1; d < 2.0; d += 0.1) {
-    const double v = k.Eval({0.0}, {d}, p);
+    const double v = Matern52({0.0}, {d}, p);
     EXPECT_LT(v, prev);
     EXPECT_GT(v, 0.0);
     prev = v;
   }
 }
 
-TEST(KernelTest, RbfMatchesClosedForm) {
-  RbfKernel k;
-  KernelParams p = KernelParams::Uniform(1, 2.0, 3.0);
-  const double r = 1.0 / 2.0;
-  EXPECT_NEAR(k.Eval({0.0}, {1.0}, p), 3.0 * std::exp(-0.5 * r * r), 1e-12);
-}
-
 TEST(KernelTest, ArdLengthScalesWeightDimensions) {
-  Matern52Kernel k;
   KernelParams p;
   p.signal_variance = 1.0;
   p.length_scales = {0.1, 10.0};  // dim 0 matters, dim 1 barely
-  const double v_dim0 = k.Eval({0.0, 0.0}, {0.2, 0.0}, p);
-  const double v_dim1 = k.Eval({0.0, 0.0}, {0.0, 0.2}, p);
+  const double v_dim0 = Matern52({0.0, 0.0}, {0.2, 0.0}, p);
+  const double v_dim1 = Matern52({0.0, 0.0}, {0.0, 0.2}, p);
   EXPECT_LT(v_dim0, v_dim1);  // same move is "farther" along dim 0
 }
 
 TEST(KernelTest, GramIsSymmetricWithUnitDiagonalScale) {
-  Matern52Kernel k;
   KernelParams p = KernelParams::Uniform(2, 0.7, 1.5);
   Rng rng(3);
   std::vector<std::vector<double>> pts;
   for (int i = 0; i < 6; ++i) pts.push_back({rng.Uniform(), rng.Uniform()});
-  const Matrix g = k.Gram(pts, p);
+  const Matrix g = Matern52Gram(pts, p);
   for (size_t i = 0; i < 6; ++i) {
     EXPECT_NEAR(g(i, i), 1.5, 1e-12);
     for (size_t j = 0; j < 6; ++j) EXPECT_NEAR(g(i, j), g(j, i), 1e-12);
@@ -70,9 +59,7 @@ TEST(GpTest, RejectsBadInputs) {
 }
 
 TEST(GpTest, InterpolatesTrainingPoints) {
-  GpOptions opt;
-  opt.noise_variance = 1e-8;
-  GaussianProcess gp(opt);
+  GaussianProcess gp;
   std::vector<std::vector<double>> xs = {{0.0}, {0.25}, {0.5}, {0.75}, {1.0}};
   std::vector<double> ys;
   for (const auto& x : xs) ys.push_back(std::sin(6.0 * x[0]));
@@ -185,39 +172,11 @@ TEST(SamplingTest, LatinHypercubeStratifiesEveryDimension) {
   }
 }
 
-TEST(SamplingTest, UniformDesignInBounds) {
-  Rng rng(6);
-  auto pts = UniformDesign(100, 3, &rng);
-  for (const auto& p : pts) {
-    for (double v : p) {
-      ASSERT_GE(v, 0.0);
-      ASSERT_LT(v, 1.0);
-    }
-  }
-}
-
-TEST(SamplingTest, HaltonIsDeterministicAndSpreads) {
-  auto a = HaltonSequence(64, 2);
-  auto b = HaltonSequence(64, 2);
-  ASSERT_EQ(a.size(), 64u);
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]);
-  }
-  // Rough spread check: mean near 0.5 in each dim.
-  for (size_t d = 0; d < 2; ++d) {
-    double mean = 0.0;
-    for (const auto& p : a) mean += p[d];
-    EXPECT_NEAR(mean / 64.0, 0.5, 0.1);
-  }
-}
-
 // Property sweep: GP fit quality is stable across seeds.
 class GpSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GpSeedTest, FitsLinearFunctionAcrossSeeds) {
-  GpOptions opt;
-  opt.seed = GetParam();
-  GaussianProcess gp(opt);
+  GaussianProcess gp(GetParam());
   Rng rng(GetParam());
   std::vector<std::vector<double>> xs;
   std::vector<double> ys;

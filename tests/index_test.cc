@@ -441,14 +441,14 @@ TEST(IvfFlatTest, RecallIncreasesWithNprobe) {
   auto recall_at = [&](int nprobe) {
     IndexParams p = params;
     p.nprobe = nprobe;
-    index->UpdateSearchParams(p);
     double sum = 0.0;
     for (size_t q = 0; q < queries.rows(); ++q) {
       auto truth =
           BruteForceSearch(data, Metric::kAngular, queries.Row(q), k, nullptr);
       std::set<int64_t> expected;
       for (const auto& t : truth) expected.insert(t.id);
-      auto hits = index->Search(queries.Row(q), k, nullptr);
+      auto hits =
+          index->SearchFiltered(queries.Row(q), k, nullptr, nullptr, &p);
       size_t found = 0;
       for (const auto& h : hits) found += expected.count(h.id);
       sum += static_cast<double>(found) / k;
@@ -477,8 +477,7 @@ TEST(IvfFlatTest, WorkScalesWithNprobe) {
   index->Search(q.Row(0), 5, &low);
   IndexParams p2 = params;
   p2.nprobe = 20;
-  index->UpdateSearchParams(p2);
-  index->Search(q.Row(0), 5, &high);
+  index->SearchFiltered(q.Row(0), 5, nullptr, &high, &p2);
   EXPECT_GT(high.full_distance_evals, low.full_distance_evals);
   EXPECT_EQ(high.coarse_distance_evals, low.coarse_distance_evals);
 }
@@ -537,14 +536,14 @@ TEST(HnswTest, RecallIncreasesWithEf) {
   auto recall_at = [&](int ef) {
     IndexParams p = params;
     p.ef = ef;
-    index->UpdateSearchParams(p);
     double sum = 0.0;
     for (size_t q = 0; q < queries.rows(); ++q) {
       auto truth =
           BruteForceSearch(data, Metric::kAngular, queries.Row(q), k, nullptr);
       std::set<int64_t> expected;
       for (const auto& t : truth) expected.insert(t.id);
-      auto hits = index->Search(queries.Row(q), k, nullptr);
+      auto hits =
+          index->SearchFiltered(queries.Row(q), k, nullptr, nullptr, &p);
       size_t found = 0;
       for (const auto& h : hits) found += expected.count(h.id);
       sum += static_cast<double>(found) / k;

@@ -40,17 +40,6 @@ TEST(MergeTopKTest, OrdersByDistanceThenId) {
   EXPECT_EQ(merged[2].id, 4);
 }
 
-TEST(MergeTopKTest, DuplicateIdsKeepBestDistance) {
-  std::vector<std::vector<Neighbor>> lists = {
-      {{1, 0.9f}, {2, 0.3f}},
-      {{1, 0.1f}, {3, 0.5f}},
-  };
-  const auto merged = MergeTopK(std::move(lists), 10);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].id, 1);
-  EXPECT_FLOAT_EQ(merged[0].distance, 0.1f);
-}
-
 TEST(MergeTopKTest, EmptyListsAndShortSupply) {
   std::vector<std::vector<Neighbor>> lists = {{}, {{5, 0.4f}}, {}};
   const auto merged = MergeTopK(std::move(lists), 8);

@@ -23,6 +23,7 @@ namespace {
 using testing_util::ClusteredMatrix;
 using testing_util::RandomMatrix;
 using testing_util::SearchOne;
+using testing_util::TempDir;
 
 CollectionOptions SmallOptions(size_t actual_rows, double dataset_mb = 100.0) {
   CollectionOptions opts;
@@ -211,6 +212,53 @@ TEST(CollectionTest, WorkDecreasesWithFewerProbes) {
   SearchOne(coll, data.Row(0), 10, &narrow_wc);
 
   EXPECT_LT(narrow_wc.full_distance_evals, wide_wc.full_distance_evals);
+}
+
+// UpdateSearchParams applies nprobe, ef and reorder_k only: the nlist in its
+// argument reaches neither the options nor the segments sealed after it, in
+// memory or through the WAL replay of a durable collection.
+TEST(CollectionTest, UpdateSearchParamsLeavesBuildFieldsAlone) {
+  const FloatMatrix data = RandomMatrix(2000, 16, 41);
+  CollectionOptions opts = SmallOptions(data.rows());
+  opts.name = "knobs";
+  opts.index.params.nlist = 32;
+  IndexParams update = opts.index.params;
+  update.nprobe = 4;
+  update.nlist = 8;
+  // The coarse probe scores every centroid of every indexed segment.
+  auto expect_built_at_nlist32 = [&](const Collection& coll) {
+    EXPECT_EQ(coll.options().index.params.nlist, 32);
+    EXPECT_EQ(coll.options().index.params.nprobe, 4);
+    const size_t segments = coll.Stats().num_indexed_segments;
+    ASSERT_GT(segments, 0u);
+    WorkCounters work;
+    SearchOne(coll, data.Row(0), 10, &work);
+    EXPECT_EQ(work.coarse_distance_evals, 32u * segments);
+  };
+
+  Collection coll(opts);
+  ASSERT_TRUE(coll.UpdateSearchParams(update).ok());
+  ASSERT_TRUE(coll.Insert(data).ok());
+  ASSERT_TRUE(coll.Flush().ok());
+  expect_built_at_nlist32(coll);
+
+  TempDir td;
+  VdmsEngineOptions eopts;
+  eopts.data_dir = td.path();
+  {
+    VdmsEngine engine(eopts);
+    ASSERT_TRUE(engine.CreateCollection(opts).ok());
+    auto handle = engine.Open(opts.name);
+    ASSERT_TRUE(handle.ok());
+    ASSERT_TRUE((*handle)->UpdateSearchParams(update).ok());
+    ASSERT_TRUE(engine.Insert(opts.name, data).ok());
+  }
+  VdmsEngine reopened(eopts);
+  ASSERT_TRUE(reopened.Open().ok());
+  auto handle = reopened.Open(opts.name);
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE((*handle)->Flush().ok());
+  expect_built_at_nlist32(**handle);
 }
 
 TEST(MemoryModelTest, ComponentsRespondToKnobs) {
