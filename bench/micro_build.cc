@@ -8,6 +8,11 @@
 // Thread counts sweep {1, 2, 4, 8}; 1 builds inline on the calling thread.
 // Every index is bit-identical across the sweep (see the VectorIndex::Build
 // determinism contract), so this measures pure speedup.
+//
+// BM_Build_HnswTuneProfile is AUTOINDEX's HNSW profile (M=16, efC=128) on
+// 2,560 x 48 glove rows, the first seal of a default-configuration `tune`
+// evaluation (perfbench), inline and at width 2, the width `tune` builds
+// at.
 #include <benchmark/benchmark.h>
 
 #include "index/index.h"
@@ -66,6 +71,25 @@ VDT_BUILD_BENCH(Hnsw, IndexType::kHnsw);
 VDT_BUILD_BENCH(Scann, IndexType::kScann);
 
 #undef VDT_BUILD_BENCH
+
+void BM_Build_HnswTuneProfile(benchmark::State& state) {
+  static const FloatMatrix data =
+      GenerateDataset(DatasetProfile::kGlove, 2560, kDim, 7);
+  const int threads = static_cast<int>(state.range(0));
+  IndexParams params;
+  params.hnsw_m = 16;
+  params.ef_construction = 128;
+  params.build_threads = threads;
+  for (auto _ : state) {
+    auto index = CreateIndex(IndexType::kHnsw, Metric::kAngular, params, 3);
+    benchmark::DoNotOptimize(index->Build(data));
+  }
+  state.SetLabel("HNSW tune profile/threads=" + std::to_string(threads));
+}
+BENCHMARK(BM_Build_HnswTuneProfile)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace vdt

@@ -18,7 +18,8 @@ namespace {
 /// Nodes whose candidate searches run against one graph snapshot, side by
 /// side on the build executor or inline without one. Fixed (never derived
 /// from the executor width) so the built graph is identical for any thread
-/// count; nodes within one batch do not see each other.
+/// count; nodes within one batch do not see each other. A batch's back-links
+/// are applied in at most this many items too.
 constexpr size_t kBuildBatch = 16;
 
 /// Outcome of the last selection pass over a list, per member: kept, not
@@ -39,6 +40,14 @@ struct Candidate {
            (distance == other.distance && id < other.id);
   }
 };
+
+/// A back-link of a batch: `node` joins list (owner, level) at `distance`.
+struct BackLink {
+  uint32_t owner;
+  int level;
+  uint32_t node;
+  float distance;
+};
 }  // namespace
 
 /// Slot s of list (node, level) describes LinksAt(node, level)[s]: the
@@ -52,8 +61,7 @@ struct HnswIndex::BuildState {
 
   BuildState(const std::vector<int>& node_level, size_t max_degree0,
              size_t max_degree)
-      : slots0(max_degree0), slots(max_degree),
-        first(node_level.size()), kept(node_level.size(), 0) {
+      : slots0(max_degree0), slots(max_degree), first(node_level.size()) {
     size_t total = 0;
     for (size_t i = 0; i < node_level.size(); ++i) {
       first[i] = total;
@@ -71,8 +79,15 @@ struct HnswIndex::BuildState {
   size_t slots;               // per upper-layer list
   std::vector<size_t> first;  // per node: its level-0 list's first slot
   std::vector<Link> links;
+};
 
-  // Selection scratch, reused across passes.
+/// Reused across the selections of one build item. The executor does not
+/// say which thread runs an item, so a pass's item r uses scratch r; no
+/// pass has more than kBuildBatch items. Aligned to a cache line, since
+/// items on different threads grow their scratches' vectors side by side.
+struct alignas(64) HnswIndex::SelectionScratch {
+  explicit SelectionScratch(size_t nodes) : kept(nodes, 0) {}
+
   std::vector<Candidate> candidates;
   std::vector<Candidate> merged;
   std::vector<Candidate> pruned;
@@ -172,7 +187,8 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
   return results.Take();
 }
 
-void HnswIndex::SelectLinks(BuildState* state, uint32_t owner, int level) {
+void HnswIndex::SelectLinks(BuildState* state, SelectionScratch* scratch,
+                            uint32_t owner, int level) {
   const size_t max_m = MaxDegree(level);
   const size_t dim = data_->dim();
   // The first of `among` closer to `c` than the owner is, or kKept.
@@ -192,37 +208,38 @@ void HnswIndex::SelectLinks(BuildState* state, uint32_t owner, int level) {
   std::vector<uint32_t>& links = LinksAt(owner, level);
   BuildState::Link* slots = state->At(owner, level);
   links.clear();
-  state->fresh.clear();
-  state->pruned.clear();
-  for (const Candidate& c : state->candidates) {
+  scratch->fresh.clear();
+  scratch->pruned.clear();
+  for (const Candidate& c : scratch->candidates) {
     if (links.size() >= max_m) break;
     uint32_t outcome;
     if (c.outcome == kKept) {
-      outcome = pruned_by(c, state->fresh);
-    } else if (c.outcome != kUnexamined && state->kept[c.outcome] != 0) {
+      outcome = pruned_by(c, scratch->fresh);
+    } else if (c.outcome != kUnexamined && scratch->kept[c.outcome] != 0) {
       outcome = c.outcome;
     } else {
       outcome = pruned_by(c, links);
     }
     if (outcome != kKept) {
-      state->pruned.push_back({c.distance, c.id, outcome});
+      scratch->pruned.push_back({c.distance, c.id, outcome});
       continue;
     }
-    if (c.outcome != kKept) state->fresh.push_back(c.id);
-    state->kept[c.id] = 1;
+    if (c.outcome != kKept) scratch->fresh.push_back(c.id);
+    scratch->kept[c.id] = 1;
     slots[links.size()] = {c.distance, kKept};
     links.push_back(c.id);
   }
-  for (uint32_t id : links) state->kept[id] = 0;
-  for (const Candidate& p : state->pruned) {
+  for (uint32_t id : links) scratch->kept[id] = 0;
+  for (const Candidate& p : scratch->pruned) {
     if (links.size() >= max_m) break;
     slots[links.size()] = {p.distance, p.outcome};
     links.push_back(p.id);
   }
 }
 
-void HnswIndex::LinkBack(BuildState* state, uint32_t owner, int level,
-                         uint32_t node, float distance) {
+void HnswIndex::LinkBack(BuildState* state, SelectionScratch* scratch,
+                         uint32_t owner, int level, uint32_t node,
+                         float distance) {
   std::vector<uint32_t>& links = LinksAt(owner, level);
   BuildState::Link* slots = state->At(owner, level);
   if (links.size() < MaxDegree(level)) {
@@ -233,7 +250,7 @@ void HnswIndex::LinkBack(BuildState* state, uint32_t owner, int level,
 
   // Overflow: the full list plus the new member, at the distances already
   // recorded, go through the selection again.
-  std::vector<Candidate>& cands = state->candidates;
+  std::vector<Candidate>& cands = scratch->candidates;
   cands.clear();
   for (size_t s = 0; s < links.size(); ++s) {
     cands.push_back({slots[s].distance, links[s], slots[s].outcome});
@@ -252,7 +269,7 @@ void HnswIndex::LinkBack(BuildState* state, uint32_t owner, int level,
         return c.outcome == kUnexamined;
       });
   if (ordered) {
-    std::vector<Candidate>& merged = state->merged;
+    std::vector<Candidate>& merged = scratch->merged;
     merged.clear();
     std::merge(cands.begin(), kept_end, kept_end, cands.end(),
                std::back_inserter(merged));
@@ -263,7 +280,7 @@ void HnswIndex::LinkBack(BuildState* state, uint32_t owner, int level,
     cands.push_back(added);
     std::sort(cands.begin(), cands.end());
   }
-  SelectLinks(state, owner, level);
+  SelectLinks(state, scratch, owner, level);
 }
 
 Status HnswIndex::Build(const FloatMatrix& data) {
@@ -310,18 +327,28 @@ Status HnswIndex::Build(const FloatMatrix& data) {
   entry_ = 0;
   max_level_ = node_level_[0];
   BuildState state(node_level_, MaxDegree(0), MaxDegree(1));
+  std::vector<SelectionScratch> scratch(kBuildBatch, SelectionScratch(n));
+  // Pass 2's grouping, reused across batches. group_of[node] is 1 + the
+  // index of node's group among the batch's back-link owners, or 0.
+  std::vector<uint32_t> group_of(n, 0);
+  std::vector<uint32_t> owners;  // per group, by first back-link
+  std::vector<size_t> group_end;  // per group: count, then start, then end
+  std::vector<BackLink> emitted, back_links;
+  std::vector<size_t> runs;  // run r applies back_links[runs[r], runs[r+1])
 
   const size_t ef_c = static_cast<size_t>(params_.ef_construction);
   for (size_t batch_begin = 1; batch_begin < n; batch_begin += kBuildBatch) {
     const size_t batch_end = std::min(n, batch_begin + kBuildBatch);
     const size_t batch_n = batch_end - batch_begin;
 
-    // Search phase: per-level candidate lists for every batch node against
-    // the current graph, which no one mutates until the commit phase.
-    // plans[j][lc] = candidates of node batch_begin + j at layer lc.
-    std::vector<std::vector<std::vector<Neighbor>>> plans(batch_n);
-    auto search_node = [&](size_t j) {
+    // Pass 1, per node: its candidates at every level it joins, searched in
+    // the graph of the earlier batches (no one writes those lists until
+    // pass 2), and its own lists selected from them. A node's own selection
+    // reads only its candidates, and nothing reaches a batch node before
+    // pass 2, so its lists are final here.
+    auto insert_node = [&](size_t j) {
       const uint32_t i = static_cast<uint32_t>(batch_begin + j);
+      SelectionScratch& own = scratch[j];
       const float* q = data.Row(i);
       const int level = node_level_[i];
       uint32_t ep = entry_;
@@ -343,42 +370,85 @@ Status HnswIndex::Build(const FloatMatrix& data) {
         }
       }
 
-      auto& per_level = plans[j];
-      per_level.resize(static_cast<size_t>(std::min(level, max_level_)) + 1);
       for (int lc = std::min(level, max_level_); lc >= 0; --lc) {
-        std::vector<Neighbor> nearest =
+        const std::vector<Neighbor> nearest =
             SearchLayer(q, ep, ef_c, lc, nullptr, nullptr);
         if (!nearest.empty()) ep = static_cast<uint32_t>(nearest.front().id);
-        per_level[lc] = std::move(nearest);
-      }
-    };
-    ParallelForOrInline(executor, batch_n, search_node);
-
-    // Commit phase: sequential, in node order — the graph mutations below
-    // are the only writes, so the build is deterministic for any width.
-    for (size_t j = 0; j < batch_n; ++j) {
-      const uint32_t i = static_cast<uint32_t>(batch_begin + j);
-      const auto& per_level = plans[j];
-      for (int lc = static_cast<int>(per_level.size()) - 1; lc >= 0; --lc) {
-        state.candidates.clear();
-        for (const Neighbor& nb : per_level[lc]) {
-          state.candidates.push_back(
+        own.candidates.clear();
+        for (const Neighbor& nb : nearest) {
+          own.candidates.push_back(
               {nb.distance, static_cast<uint32_t>(nb.id), kUnexamined});
         }
-        SelectLinks(&state, i, lc);
+        SelectLinks(&state, &own, i, lc);
+      }
+    };
+    ParallelForOrInline(executor, batch_n, insert_node);
 
-        // Bidirectional connections with degree-bounded pruning. Each
-        // neighbor gets the distance this node's search measured: the
-        // kernels are symmetric, so it is the distance a fresh call from
-        // the neighbor's side would return, bit for bit.
-        const std::vector<uint32_t>& neighbors = LinksAt(i, lc);
-        const BuildState::Link* slots = state.At(i, lc);
+    // Pass 2: bidirectional connections with degree-bounded pruning. Each
+    // neighbor gets the distance this node's search measured: the kernels
+    // are symmetric, so it is the distance a fresh call from the
+    // neighbor's side would return, bit for bit. Every owner is a node of
+    // an earlier batch and a re-prune touches only its own list, so the
+    // lists are independent. The back-links are counted into one group per
+    // owner (in the order owners first appear), which keeps each list's
+    // back-links in node order, and each item applies a run of whole
+    // groups of about equal length in back-links. Sorting by list instead
+    // took 4 ms, all serial, of a 100 ms 2-thread build of 2,560 x 48 rows
+    // at M=16, efC=128 (AVX-512 Xeon); the counting takes under 1 ms.
+    emitted.clear();
+    owners.clear();
+    group_end.clear();
+    for (size_t i = batch_begin; i < batch_end; ++i) {
+      for (int lc = std::min(node_level_[i], max_level_); lc >= 0; --lc) {
+        const std::vector<uint32_t>& neighbors =
+            LinksAt(static_cast<uint32_t>(i), lc);
+        const BuildState::Link* slots =
+            state.At(static_cast<uint32_t>(i), lc);
         for (size_t s = 0; s < neighbors.size(); ++s) {
-          LinkBack(&state, neighbors[s], lc, i, slots[s].distance);
+          const uint32_t owner = neighbors[s];
+          if (group_of[owner] == 0) {
+            owners.push_back(owner);
+            group_end.push_back(0);
+            group_of[owner] = static_cast<uint32_t>(owners.size());
+          }
+          ++group_end[group_of[owner] - 1];
+          emitted.push_back({owner, lc, static_cast<uint32_t>(i),
+                             slots[s].distance});
         }
       }
+    }
+    // Counts become starts; the scatter then moves each start to its end.
+    size_t start = 0;
+    for (size_t& end : group_end) {
+      const size_t count = end;
+      end = start;
+      start += count;
+    }
+    back_links.resize(emitted.size());
+    for (const BackLink& link : emitted) {
+      back_links[group_end[group_of[link.owner] - 1]++] = link;
+    }
+    for (uint32_t owner : owners) group_of[owner] = 0;
+    const size_t run_length =
+        (back_links.size() + kBuildBatch - 1) / kBuildBatch;
+    runs.assign(1, 0);
+    for (size_t end : group_end) {
+      if (end - runs.back() >= run_length) runs.push_back(end);
+    }
+    if (runs.back() < back_links.size()) runs.push_back(back_links.size());
+    // Every run but the last holds at least run_length back-links.
+    assert(runs.size() - 1 <= kBuildBatch);
+    ParallelForOrInline(executor, runs.size() - 1, [&](size_t r) {
+      for (size_t b = runs[r]; b < runs[r + 1]; ++b) {
+        const BackLink& link = back_links[b];
+        LinkBack(&state, &scratch[r], link.owner, link.level, link.node,
+                 link.distance);
+      }
+    });
+
+    for (size_t i = batch_begin; i < batch_end; ++i) {
       if (node_level_[i] > max_level_) {
-        entry_ = i;
+        entry_ = static_cast<uint32_t>(i);
         max_level_ = node_level_[i];
       }
     }
@@ -427,7 +497,7 @@ Status HnswIndex::SerializeState(ByteWriter* writer) const {
   if (data_ == nullptr) {
     return Status::FailedPrecondition("HNSW serialize: index not built");
   }
-  WriteIndexParams(writer, params_);
+  WriteBuiltIndexParams(writer, params_);
   writer->U64(seed_);
   writer->I32(max_level_);
   writer->U32(entry_);

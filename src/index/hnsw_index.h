@@ -2,23 +2,28 @@
 // 2018; paper Table I). Build parameters: M (graph degree), efConstruction
 // (build beam width). Search parameter: ef (query beam width).
 //
-// Construction inserts nodes in fixed batches of 16: their candidate
-// searches run against a graph snapshot, spread over the build executor (or
-// inline on the calling thread when build_threads is 1), and a sequential
-// commit then links them in node order. Nodes of one batch do not link to
-// each other. The graph is a function of (data, params, seed):
-// build_threads sets only the build's speed.
+// Construction inserts nodes in fixed batches of 16, each in two passes
+// spread over the build executor (or run inline when build_threads is 1).
+// The first pass searches each node's candidates against the graph the
+// earlier batches left and, in the same item, selects the node's own lists
+// from them. The second adds the batch's back-links, grouped by the node
+// whose lists they land in: each list takes its back-links in node order,
+// and an item of the pass owns whole lists. Nodes of one batch do not link
+// to each other, so every back-link lands in a list of an earlier batch's
+// node and no two items touch one list; only the grouping and the
+// entry-point update are serial. The graph is a function of (data, params,
+// seed): build_threads sets only the build's speed.
 //
-// The commit re-prunes a neighbor's list whenever a back-link overflows it,
-// and it does so incrementally: each list carries build-only state (per
-// link, the member's distance to the owner and whether the last selection
-// pass kept it or which member pruned it), so a re-prune reuses the last
-// pass's decisions and recomputes only the checks the new member can
-// change. The graph is byte-identical to re-running the selection from
-// scratch on every overflow. Every list is reserved once at its layer's max
-// degree and never grows past it. The state takes 8 bytes per reserved
-// slot: 16*M bytes per node at layer 0, twice the finished level-0 list.
-// It is freed, and every list trimmed to its size, when Build returns.
+// A back-link that overflows a list re-prunes it incrementally: each list
+// carries build-only state (per link, the member's distance to the owner
+// and whether the last selection pass kept it or which member pruned it),
+// so a re-prune reuses the last pass's decisions and recomputes only the
+// checks the new member can change. The graph is byte-identical to
+// re-running the selection from scratch on every overflow. Every list is
+// reserved once at its layer's max degree and never grows past it. The
+// state takes 8 bytes per reserved slot: 16*M bytes per node at layer 0,
+// twice the finished level-0 list. It is freed, and every list trimmed to
+// its size, when Build returns.
 #ifndef VDTUNER_INDEX_HNSW_INDEX_H_
 #define VDTUNER_INDEX_HNSW_INDEX_H_
 
@@ -65,21 +70,25 @@ class HnswIndex : public VectorIndex {
                                     const RowFilter* filter,
                                     WorkCounters* counters) const;
 
-  /// Build-only per-link state and selection scratch (hnsw_index.cc).
+  /// Build-only per-link state (hnsw_index.cc).
   struct BuildState;
+  /// Selection scratch of one build item (hnsw_index.cc).
+  struct SelectionScratch;
 
-  /// Malkov's diversity heuristic over `state`'s candidates (sorted by
+  /// Malkov's diversity heuristic over `scratch`'s candidates (sorted by
   /// distance to `owner`, ties by id): keeps a candidate only if it is
   /// closer to the owner than to every neighbor kept before it, then
   /// backfills with pruned candidates, up to MaxDegree(level). Writes the
-  /// result, kept run first, to (owner, level) and its per-link state.
-  void SelectLinks(BuildState* state, uint32_t owner, int level);
+  /// result, kept run first, to (owner, level) and its per-link state, and
+  /// touches no other list.
+  void SelectLinks(BuildState* state, SelectionScratch* scratch,
+                   uint32_t owner, int level);
 
   /// Adds `node` at `distance` to (owner, level): appends it while the list
   /// has room, else re-prunes the full list plus `node` from its per-link
   /// state.
-  void LinkBack(BuildState* state, uint32_t owner, int level, uint32_t node,
-                float distance);
+  void LinkBack(BuildState* state, SelectionScratch* scratch, uint32_t owner,
+                int level, uint32_t node, float distance);
 
   std::vector<uint32_t>& LinksAt(uint32_t node, int level);
   const std::vector<uint32_t>& LinksAt(uint32_t node, int level) const;

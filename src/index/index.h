@@ -56,7 +56,8 @@ struct IndexParams {
   /// (sized by VDT_THREADS, like searches), 1 = inline on the calling
   /// thread, n > 1 = a shared pool of that width. Not a tuned parameter: it
   /// sets only the build's speed. An index is a function of (data, params,
-  /// seed) alone, so BuildSignature() ignores this knob.
+  /// seed) alone, so BuildSignature() ignores this knob and SerializeState()
+  /// records it as 0.
   int build_threads = 0;
 
   std::string ToString() const;
@@ -159,11 +160,12 @@ class VectorIndex {
   /// an index whose Build() has not returned.
   ///
   /// Determinism contract: an index is a function of (data, params, seed).
-  /// Its structures, answers, work counters and MemoryBytes() are
-  /// bit-identical for every build_threads value, because every parallel
-  /// pass runs over a fixed grid whatever the width (k-means chunks merged
-  /// in chunk order, HNSW's fixed insertion batches committed in node
-  /// order); a null executor runs the same grid inline.
+  /// Its structures, answers, work counters, MemoryBytes() and
+  /// SerializeState() bytes are bit-identical for every build_threads
+  /// value, because every parallel pass runs over a fixed grid whatever the
+  /// width (k-means chunks merged in chunk order, HNSW's fixed insertion
+  /// batches, whose back-links are applied per list in node order); a null
+  /// executor runs the same grid inline.
   virtual Status Build(const FloatMatrix& data) = 0;
 
   /// Exact/approximate top-k for `query`; results sorted by distance

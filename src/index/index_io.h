@@ -38,6 +38,15 @@ inline void WriteIndexParams(ByteWriter* w, const IndexParams& p) {
   w->I32(p.build_threads);
 }
 
+/// The params a built index's state records: WriteIndexParams with
+/// build_threads written as 0. The width sets only the build's speed and a
+/// restored index never rebuilds, so identical indexes write identical
+/// bytes whatever width built them.
+inline void WriteBuiltIndexParams(ByteWriter* w, IndexParams p) {
+  p.build_threads = 0;
+  WriteIndexParams(w, p);
+}
+
 inline bool ReadIndexParams(ByteReader* r, IndexParams* p) {
   return r->I32(&p->nlist) && r->I32(&p->nprobe) && r->I32(&p->m) &&
          r->I32(&p->nbits) && r->I32(&p->hnsw_m) &&

@@ -44,7 +44,7 @@ Status IvfBaseIndex::SerializeState(ByteWriter* writer) const {
     return Status::FailedPrecondition(std::string(Name()) +
                                       " serialize: index not built");
   }
-  WriteIndexParams(writer, params_);
+  WriteBuiltIndexParams(writer, params_);
   writer->U64(seed_);
   WriteFloatMatrix(writer, centroids_);
   WriteIdLists(writer, list_ids_);

@@ -1,7 +1,8 @@
 // Build() parity across widths: every index type must answer bit-identically
 // for every build_threads value, inline (1) or on an executor, and no build
 // signature may record the width. HNSW's graph bytes and the kmeans
-// family's state bytes and answers are pinned per kernel backend. Also
+// family's state bytes and answers are pinned per kernel backend, and the
+// state bytes at several widths under the active backend. Also
 // covers the chunked kmeans/scatter primitives, the n < threads and odd-dim
 // edge cases, the collection-level plumbing, and the named build error
 // messages.
@@ -251,8 +252,8 @@ uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
   return h;
 }
 
-/// One pinned HNSW build (at the default build_threads 0): its inputs and
-/// the FNV-1a digest of its SerializeState bytes under each x86-64 backend.
+/// One pinned HNSW build: its inputs and the FNV-1a digest of its
+/// SerializeState bytes under each x86-64 backend, at every build_threads.
 struct GraphPin {
   const char* name;
   Metric metric;
@@ -277,8 +278,13 @@ const uint64_t* PinnedDigest(const GraphPin& pin, const std::string& backend) {
 // The graph is a function of (rows, params, seed) and the backend's distance
 // bits; a construction change that moves one link, or reorders one list,
 // changes a digest. The digests were recorded when every back-link overflow
-// re-ran the selection from scratch, so they also pin the incremental
-// re-prune as exact. Backends without a recorded digest are skipped.
+// re-ran the selection from scratch and a sequential commit applied every
+// back-link in node order, so they also pin the incremental re-prune as
+// exact and the per-list back-link pass as that order. The backend active at
+// the start also builds every pin at build_threads 1, 3 and 8 (inline, and
+// on 3- and 8-thread executors) against the same digest; the other backends
+// build at the default width only, which keeps the test short under TSan.
+// Backends without a recorded digest are skipped.
 TEST(HnswBuildParityTest, GraphBytesPinnedPerBackend) {
   const GraphPin pins[] = {
       {"autoindex_profile", Metric::kAngular, true, 1000, 32, 0, 16, 128,
@@ -308,25 +314,31 @@ TEST(HnswBuildParityTest, GraphBytesPinnedPerBackend) {
        0x160b46a164d0c2d5ull, 0x160b46a164d0c2d5ull, 0x160b46a164d0c2d5ull},
   };
   BackendGuard guard;
+  const std::string active = kernels::Active().name;
   for (const kernels::Backend* backend : kernels::AvailableBackends()) {
     const std::string name = backend->name;
     ASSERT_TRUE(kernels::SetActive(name));
+    const std::vector<int> widths =
+        name == active ? std::vector<int>{0, 1, 3, 8} : std::vector<int>{0};
     for (const GraphPin& pin : pins) {
       const uint64_t* want = PinnedDigest(pin, name);
       if (want == nullptr) continue;
       const FloatMatrix data = PinnedRows(pin.rows, pin.dim, 61, pin.normalize,
                                           pin.period);
-      IndexParams params;
-      params.hnsw_m = pin.hnsw_m;
-      params.ef_construction = pin.ef_construction;
-      auto index = CreateIndex(IndexType::kHnsw, pin.metric, params, 17);
-      ASSERT_TRUE(index->Build(data).ok()) << pin.name;
-      std::vector<uint8_t> bytes;
-      ByteWriter writer(&bytes);
-      ASSERT_TRUE(index->SerializeState(&writer).ok()) << pin.name;
-      EXPECT_EQ(Fnv1a(bytes), *want)
-          << pin.name << " under " << name << ": got 0x" << std::hex
-          << Fnv1a(bytes);
+      for (int width : widths) {
+        IndexParams params;
+        params.hnsw_m = pin.hnsw_m;
+        params.ef_construction = pin.ef_construction;
+        params.build_threads = width;
+        auto index = CreateIndex(IndexType::kHnsw, pin.metric, params, 17);
+        ASSERT_TRUE(index->Build(data).ok()) << pin.name;
+        std::vector<uint8_t> bytes;
+        ByteWriter writer(&bytes);
+        ASSERT_TRUE(index->SerializeState(&writer).ok()) << pin.name;
+        EXPECT_EQ(Fnv1a(bytes), *want)
+            << pin.name << " under " << name << " at build_threads " << width
+            << ": got 0x" << std::hex << Fnv1a(bytes);
+      }
     }
   }
 }
@@ -386,7 +398,9 @@ void AppendAnswers(const VectorIndex& index, const FloatMatrix& queries,
 // knob override; and the compaction copy's state bytes, type(), memory and
 // answers. The builds do not depend on the metric; L2 searches keep clear of
 // the SQ8 dot kernel, whose avx512 form depends on the CPU's VNNI support.
-// Backends without a recorded digest are skipped.
+// Under the backend active at the start, builds at build_threads 1, 3 and 8
+// must write the same state bytes as the default width. Backends without a
+// recorded digest are skipped.
 TEST(KMeansFamilyPinnedTest, BytesAndAnswersPinnedPerBackend) {
   const FamilyPin pins[] = {
       {IndexType::kIvfFlat,
@@ -440,6 +454,7 @@ TEST(KMeansFamilyPinnedTest, BytesAndAnswersPinnedPerBackend) {
   const IndexParams* const overrides[] = {nullptr, &knobs};
 
   BackendGuard guard;
+  const std::string active = kernels::Active().name;
   for (const kernels::Backend* backend : kernels::AvailableBackends()) {
     const std::string name = backend->name;
     ASSERT_TRUE(kernels::SetActive(name));
@@ -456,6 +471,19 @@ TEST(KMeansFamilyPinnedTest, BytesAndAnswersPinnedPerBackend) {
       EXPECT_EQ(Fnv1a(state), *want_state)
           << type_name << " state under " << name << ": got 0x" << std::hex
           << Fnv1a(state);
+      for (int width : name == active ? std::vector<int>{1, 3, 8}
+                                      : std::vector<int>{}) {
+        IndexParams at_width = params;
+        at_width.build_threads = width;
+        auto built = CreateIndex(pin.type, Metric::kL2, at_width, 23);
+        ASSERT_TRUE(built->Build(data).ok()) << type_name;
+        std::vector<uint8_t> bytes;
+        ByteWriter writer(&bytes);
+        ASSERT_TRUE(built->SerializeState(&writer).ok()) << type_name;
+        EXPECT_EQ(Fnv1a(bytes), *want_state)
+            << type_name << " state under " << name << " at build_threads "
+            << width << ": got 0x" << std::hex << Fnv1a(bytes);
+      }
 
       std::vector<uint8_t> answers;
       ByteWriter answers_writer(&answers);
